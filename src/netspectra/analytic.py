@@ -552,10 +552,10 @@ def _leading_poly(model: DegreeModel, z_up: float) -> float:
         rhs = np.pad(rhs, (0, n - len(rhs))) + np.pad(term, (0, n - len(term)))
     n = max(len(lhs), len(rhs))
     poly = np.pad(lhs, (0, n - len(lhs))) - np.pad(rhs, (0, n - len(rhs)))
-    poly = poly[::-1]  # descending
-    cut = 1e-9 * np.max(np.abs(poly))
-    while poly.size > 1 and abs(poly[0]) < cut:
-        poly = poly[1:]
+    # descending, without z^{2L}: that coefficient cancels exactly because
+    # c = sum_r w_r d_r.  The next one is c itself, which can sit many decades
+    # below the largest coefficient, so no relative cut may drop it.
+    poly = poly[::-1][1:]
     roots = np.roots(poly)
     real = np.sort(roots.real[np.abs(roots.imag) < 1e-9 * (1.0 + np.abs(roots))])
     sep = 1e-12 * max(1.0, abs(z_up))

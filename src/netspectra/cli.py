@@ -359,7 +359,9 @@ def run(argv=None) -> int:
     except NetspectraError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (OSError, json.JSONDecodeError, KeyError) as exc:
+    except (OSError, KeyError, ValueError) as exc:
+        # ValueError covers malformed JSON, non-numeric model entries and
+        # other rejected inputs; library errors were caught above
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

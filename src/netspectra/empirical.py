@@ -1,10 +1,12 @@
 """Eigenvalue measurements on sampled networks and ensemble aggregation.
 
 Full spectra go through LAPACK's symmetric solver behind a report type that
-enforces the trace and Frobenius identities; sizes beyond the dense cap get
-only the top eigenpair, computed matrix-free by a restarted Lanczos iteration
-on a spectrally shifted operator (the shift removes the +/- ambiguity between
-the two ends of the band, so the algebraically largest eigenvalue dominates).
+enforces the trace and Frobenius identities; it is bounded by the dense cap
+and used only where every eigenvalue is read (pooled spectra).  Ensembles
+that read only the top of the spectrum get the top eigenpair at every size,
+computed matrix-free by a restarted Lanczos iteration on a spectrally
+shifted operator (the shift removes the +/- ambiguity between the two ends
+of the band, so the algebraically largest eigenvalue dominates).
 
 Replicate r of an ensemble uses the seed splitmix64(base_seed + (r+1) * GOLDEN)
 with the published constants below, so replicates are independent,
@@ -254,20 +256,31 @@ def empirical_density(model: DegreeModel, n: int, replicates: int, bins: int,
                              base_seed=int(base_seed))
 
 
+def _top_eigenvalue(net: SampledNetwork, kind: str) -> float:
+    """Largest eigenvalue of one realization's matrix, computed matrix-free."""
+    if kind == "adjacency":
+        adj = net.adjacency_sparse()
+        return top_eigenpair(lambda x: adj @ x, net.n, tol=1e-8)[0]
+    if kind == "modularity":
+        return top_eigenpair(net.modularity_view().matvec, net.n, tol=1e-6)[0]
+    raise ValueError(f"kind must be one of {MATRIX_KINDS}")
+
+
+def _mean_stderr(tops: np.ndarray) -> tuple[float, float]:
+    stderr = tops.std(ddof=1) / np.sqrt(tops.size) if tops.size > 1 else 0.0
+    return float(tops.mean()), float(stderr)
+
+
 def ensemble_leading(model: DegreeModel, n: int, replicates: int,
                      base_seed: int, kind: str = "adjacency",
                      ) -> tuple[float, float]:
-    """Mean and standard error of the largest eigenvalue across replicates."""
+    """Mean and standard error of the largest eigenvalue across replicates,
+    each from the matrix-free top eigenpair (no dense cap on n)."""
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
-    tops = np.empty(replicates)
-    for r in range(replicates):
-        net = _replicate_network(model, n, base_seed, r)
-        rep = dense_symmetric_eigen(_dense_matrix(net, kind), kind=kind)
-        tops[r] = rep.eigenvalues[-1]
-    mean = float(tops.mean())
-    stderr = float(tops.std(ddof=1) / np.sqrt(replicates)) if replicates > 1 else 0.0
-    return mean, stderr
+    return _mean_stderr(np.array([
+        _top_eigenvalue(_replicate_network(model, n, base_seed, r), kind)
+        for r in range(replicates)]))
 
 
 def ensemble_hub_top(model: DegreeModel, k_n: float, n: int, replicates: int,
@@ -276,23 +289,13 @@ def ensemble_hub_top(model: DegreeModel, k_n: float, n: int, replicates: int,
 
     Each replicate samples n background degrees from the model, appends one
     vertex of expected degree k_n, and measures the largest eigenvalue of the
-    modularity matrix.
+    modularity matrix with the matrix-free top eigenpair, at every size.
     """
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
-    tops = np.empty(replicates)
-    for r in range(replicates):
-        net = _hub_network(model, k_n, n, base_seed, r)
-        if net.n <= dense_cap():
-            rep = dense_symmetric_eigen(
-                densify_modularity(net.modularity_view()), kind="modularity")
-            tops[r] = rep.eigenvalues[-1]
-        else:
-            lam, _ = top_eigenpair(net.modularity_view().matvec, net.n, tol=1e-6)
-            tops[r] = lam
-    mean = float(tops.mean())
-    stderr = float(tops.std(ddof=1) / np.sqrt(replicates)) if replicates > 1 else 0.0
-    return mean, stderr
+    return _mean_stderr(np.array([
+        _top_eigenvalue(_hub_network(model, k_n, n, base_seed, r), "modularity")
+        for r in range(replicates)]))
 
 
 def ensemble_hub_localization(model: DegreeModel, k_n: float, n: int,

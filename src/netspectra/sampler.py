@@ -34,7 +34,11 @@ DENSE_CAP_ENV = "NETSPECTRA_DENSE_CAP"
 def dense_cap() -> int:
     """Dense-matrix size cap; override with the NETSPECTRA_DENSE_CAP env var."""
     raw = os.environ.get(DENSE_CAP_ENV)
-    return int(raw) if raw else DEFAULT_DENSE_CAP
+    try:
+        return int(raw) if raw else DEFAULT_DENSE_CAP
+    except ValueError:
+        raise ValueError(
+            f"{DENSE_CAP_ENV} must be an integer, got {raw!r}") from None
 
 
 @dataclass(frozen=True, eq=False)

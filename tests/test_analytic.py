@@ -305,6 +305,16 @@ def test_leading_consistency_check(two_degree_model):
     assert (z - 1.0) * h == pytest.approx(1.0, abs=1e-10)
 
 
+def test_leading_five_atom_regression():
+    # c = 90 is the leading polynomial coefficient, nine decades below the
+    # largest one; dropping it as negligible loses the detached root
+    model = DegreeModel.from_atoms([(30.0, 0.2), (60.0, 0.2), (90.0, 0.2),
+                                    (120.0, 0.2), (150.0, 0.2)])
+    z = leading_eigenvalue(model)
+    assert z == pytest.approx(111.1153, abs=1e-4)
+    assert abs((z - 1.0) * solve_h(model, z).h - 1.0) < 1e-12
+
+
 def test_leading_no_detached_root_flagged():
     # at c = 1 the candidate root c + 1 = 2 sits exactly on the band edge,
     # so no eigenvalue separates from the band

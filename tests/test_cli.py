@@ -173,6 +173,25 @@ def test_missing_model_file_is_usage_error(tmp_path):
     assert run(["leading", str(tmp_path / "nope.json")]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("atoms", [[["abc", 1.0]], [[100.0, "heavy"]]])
+def test_non_numeric_model_entry_is_usage_error(tmp_path, capsys, atoms):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"atoms": atoms}))
+    assert run(["leading", str(bad)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_non_integer_dense_cap_is_usage_error(tmp_path, poisson_file, capsys,
+                                              monkeypatch):
+    monkeypatch.setenv("NETSPECTRA_DENSE_CAP", "lots")
+    code = run(["empirical", str(poisson_file), "--n", "50", "--reps", "1",
+                "--out", str(tmp_path / "hist.csv")])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "NETSPECTRA_DENSE_CAP" in err and err.count("\n") == 1
+
+
 def test_manifest_roundtrip(tmp_path):
     m = RunManifest(command="density", model={"atoms": [[1.0, 1.0]]},
                     params={"zmin": -1.0}, base_seed=None, version="0.1.0",

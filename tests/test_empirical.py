@@ -22,6 +22,8 @@ from netspectra import (
     write_eigenvalue_dump,
     write_histogram_csv,
 )
+from netspectra.empirical import (_dense_matrix, _hub_network,
+                                  _replicate_network, _top_eigenvalue)
 from oracles import jacobi_eigenvalues
 
 
@@ -183,6 +185,22 @@ def test_ensemble_hub_top_above_and_below_critical(poisson100):
     assert above == pytest.approx(400.0 / np.sqrt(300.0), rel=0.05)
     below, _ = ensemble_hub_top(poisson100, 120.0, 500, 6, base_seed=18)
     assert below == pytest.approx(20.0, rel=0.05)
+
+
+@pytest.mark.parametrize("case", ["adjacency", "hub_above", "hub_below"])
+def test_ensemble_top_matches_dense_reference(case, poisson100,
+                                              two_degree_model):
+    # detached leading eigenvalue, detached hub eigenvalue, and a hub below
+    # critical whose top sits at the band edge (the slowest Lanczos case)
+    for r in range(3):
+        if case == "adjacency":
+            net, kind = _replicate_network(two_degree_model, 300, 41, r), "adjacency"
+        else:
+            k_n = 400.0 if case == "hub_above" else 120.0
+            net, kind = _hub_network(poisson100, k_n, 300, 42, r), "modularity"
+        dense_top = dense_symmetric_eigen(
+            _dense_matrix(net, kind), kind).eigenvalues[-1]
+        assert abs(_top_eigenvalue(net, kind) - dense_top) <= 1e-8
 
 
 def test_hub_vector_stats_single_network(poisson100):
