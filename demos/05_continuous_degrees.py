@@ -1,8 +1,8 @@
 """Degree distributions need not be discrete: any density on a finite
 interval works.  At construction it is reduced to Gauss-Legendre nodes, after
 which every computation (fixed-point solve, band edges, detached eigenvalues,
-sampling) runs exactly as in the atomic case -- just with more nodes, solved
-by damped iteration instead of polynomial roots.
+sampling) runs exactly as in the atomic case -- just with more nodes, and a
+fixed-point solve by damped iteration instead of polynomial roots.
 """
 import pathlib
 
@@ -28,8 +28,7 @@ print(f"band edges     = ({lo:.4f}, {hi:.4f})")
 print(f"leading eig    = {leading_eigenvalue(model):.4f} "
       f"(moment ratio {leading_eigenvalue_approx(model):.4f})")
 
-curve = density_grid(model, lo - 3.0, hi + 3.0, 801, eta=1e-6,
-                     compute_band=False)
+curve = density_grid(model, lo - 3.0, hi + 3.0, 801, eta=1e-6)
 print(f"norm defect    = {curve.norm_defect:.2e}")
 
 hist = empirical_density(model, n=1200, replicates=8, bins=70, base_seed=3)

@@ -60,7 +60,7 @@ class SpectralCurve:
     z: np.ndarray
     rho: np.ndarray
     eta: float
-    band: tuple[float, float] | None
+    band: tuple[float, float]
     norm_defect: float
     second_moment: float
 
@@ -356,14 +356,13 @@ def stieltjes_transform(model: DegreeModel, z: complex) -> complex:
 
 
 def density_grid(model: DegreeModel, z_min: float, z_max: float, points: int,
-                 eta: float | None = None,
-                 compute_band: bool | None = None) -> SpectralCurve:
+                 eta: float | None = None) -> SpectralCurve:
     """Sweep the density over [z_min, z_max] with branch continuity tracking.
 
     Each grid point warm-starts the solve from its neighbor, which keeps the
     selected branch continuous across the band.  A grid point at exactly 0 is
-    nudged by half a step.  Records the trapezoid normalization defect and
-    second moment as diagnostics.
+    nudged by half a step.  Records the band edges from `band_edges`, and the
+    trapezoid normalization defect and second moment as diagnostics.
     """
     if not z_min < z_max:
         raise ValueError("need z_min < z_max")
@@ -389,9 +388,7 @@ def density_grid(model: DegreeModel, z_min: float, z_max: float, points: int,
                 f"density {val:.3e} below clamp floor at z={x!r}")
         rho[i] = max(0.0, val)
 
-    band = None
-    if compute_band or (compute_band is None and model.degrees.size <= MAX_POLY_ATOMS):
-        band = band_edges(model)
+    band = band_edges(model)
     norm_defect = abs(float(np.trapezoid(rho, grid)) - 1.0)
     second = float(np.trapezoid(rho * grid * grid, grid))
     return SpectralCurve(z=grid, rho=rho, eta=eta, band=band,
@@ -399,110 +396,82 @@ def density_grid(model: DegreeModel, z_min: float, z_max: float, points: int,
 
 
 # --------------------------------------------------------------------------
-# band edges
+# the real axis outside the band
 # --------------------------------------------------------------------------
+#
+# Outside the band h(z) is real.  With u = z / h the self-consistency
+# equation reads h^2 = G(u) / c, G(u) = sum w d / (u - d), so the upper real
+# branch is the curve  z(u)^2 = u^2 G(u) / c  for u in (k_max, inf).  Its
+# derivative is u psi(u) / c with psi(u) = sum w d (u - 2 d) / (u - d)^2:
+# coming down from u = inf, z falls to the band edge at the root u_c of psi
+# and the branch ends there.  A hub of degree k_n detaches the pair +-z(k_n)
+# when k_n > u_c, and the leading eigenvalue, (z - 1) h = 1, is the point of
+# the branch with u = z^2 - z.
 
-def _has_complex_pair(model: DegreeModel, x: float) -> bool:
-    roots = np.roots(_h_poly_coeffs(model, complex(x)))
-    return bool(np.any(np.abs(roots.imag) > 1e-9 * (1.0 + np.abs(roots))))
+def _bisect(f, lo: float, hi: float) -> float:
+    """Root of f between lo and hi (f changes sign there), to float resolution."""
+    lo_positive = f(lo) > 0.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return mid
+        if (f(mid) > 0.0) == lo_positive:
+            lo = mid
+        else:
+            hi = mid
 
 
-def _edge_system_newton(model: DegreeModel, h0: float, z0: float) -> tuple[float, float]:
-    """Refine a band edge as the simultaneous solution of f = 0, df/dh = 0.
+def _cauchy_real(model: DegreeModel, u: float) -> float:
+    d, w = model.degrees, model.weights
+    return float(np.sum(w * d / (u - d)))
 
-    f(h, z) = (1/c) sum w d / (z - d h) - h vanishes along the branch and its
-    h-derivative vanishes exactly where the complex pair is born.
+
+def _hub_zsq(model: DegreeModel, k_n: float) -> float:
+    # z(u)^2 = u^2 G(u) / c at u = k_n
+    return float(k_n * k_n / model.mean_degree() * _cauchy_real(model, k_n))
+
+
+def hub_critical_degree(model: DegreeModel) -> float:
+    """Critical degree u_c: the root of psi(u) = sum w d (u - 2d) / (u - d)^2 above k_max.
+
+    u_c is the smallest hub degree that detaches eigenvalues from the band,
+    and z(u_c) is the upper band edge.  c z(u)^2 = sum w d (u + d + d^2/(u - d))
+    is a sum of convex functions, so psi has exactly one root, below which it
+    is negative.  Every term of psi is positive beyond 2 k_max, so the scan
+    starts at 3 k_max and halves the gap u - k_max until psi is no longer
+    positive; the last halving brackets the root, which is then bisected.  If
+    psi stays positive down to a gap of 1e-12 k_max, the root is within
+    roundoff of the pole and that point is returned.
     """
     d, w = model.degrees, model.weights
-    c = model.mean_degree()
-    h, zz = float(h0), float(z0)
-    for _ in range(200):
-        q = 1.0 / (zz - d * h)
-        f = float(np.sum(w * d * q)) / c - h
-        fh = float(np.sum(w * d * d * q * q)) / c - 1.0
-        fz = -float(np.sum(w * d * q * q)) / c
-        fhh = 2.0 * float(np.sum(w * d ** 3 * q ** 3)) / c
-        fhz = -2.0 * float(np.sum(w * d * d * q ** 3)) / c
-        # 2x2 Newton step on (f, fh):
-        #   [fh  fz ] [dh]   [f ]
-        #   [fhh fhz] [dz] = [fh]
-        det = fh * fhz - fz * fhh
-        if det == 0.0:
-            break
-        dh = (f * fhz - fz * fh) / det
-        dz = (fh * fh - fhh * f) / det
-        h -= dh
-        zz -= dz
-        if abs(f) < 1e-14 and abs(fh) < 1e-14:
-            break
-    q = 1.0 / (zz - d * h)
-    f = float(np.sum(w * d * q)) / c - h
-    fh = float(np.sum(w * d * d * q * q)) / c - 1.0
-    if not (abs(f) < 1e-9 and abs(fh) < 1e-7):
-        raise RootNotFoundError("edge refinement did not converge")
-    return h, zz
+    k_max = model.max_degree
+
+    def psi(u: float) -> float:
+        return float(np.sum(w * d * (u - 2.0 * d) / (u - d) ** 2))
+
+    hi, gap = 3.0 * k_max, 2.0 * k_max
+    while psi(k_max + gap) > 0.0:
+        hi = k_max + gap
+        gap *= 0.5
+        if gap < 1e-12 * k_max:
+            return hi
+    return _bisect(psi, k_max + gap, hi)
 
 
 @lru_cache(maxsize=128)  # models are immutable; keyed by identity
 def band_edges(model: DegreeModel) -> tuple[float, float]:
-    """Locate the outermost edges of the continuous spectral band.
+    """Outermost edges of the continuous spectral band, (-z_c, z_c).
 
-    Inside the band the equation's solution is complex, outside it is real;
-    the edges are where the complex pair disappears.  Degree-node models up
-    to the polynomial cutoff are bisected on that indicator; larger models
-    refine a coarse scan with a Newton solve of the edge conditions.
+    The upper edge is z(u_c) = u_c sqrt(G(u_c) / c) at the critical degree
+    u_c of `hub_critical_degree`; a single atom has the closed form 2 sqrt(c).
+    The lower edge is its negative, because h(-z) = -h(z).
     """
     c = model.mean_degree()
     if model.degrees.size == 1:
         e = float(2.0 * np.sqrt(c))
-        return (-e, e)
-    span = 10.0 * np.sqrt(model.moment(2))
-    if model.degrees.size <= MAX_POLY_ATOMS:
-        grid = np.linspace(-span, span, 4001)
-        flags = np.fromiter((_has_complex_pair(model, x) for x in grid),
-                            dtype=bool, count=grid.size)
-        idx = np.flatnonzero(flags)
-        if idx.size == 0 or idx[0] == 0 or idx[-1] == grid.size - 1:
-            raise RootNotFoundError(
-                f"band indicator found no clean bracket within [-{span:g}, {span:g}]")
-        edges = []
-        for inner, outer in ((grid[idx[0]], grid[idx[0] - 1]),
-                             (grid[idx[-1]], grid[idx[-1] + 1])):
-            a, b = inner, outer  # a inside (complex), b outside (real)
-            for _ in range(60):
-                m = 0.5 * (a + b)
-                if _has_complex_pair(model, m):
-                    a = m
-                else:
-                    b = m
-            edges.append(float(0.5 * (a + b)))
-        return (min(edges), max(edges))
-
-    # large node sets: coarse scan of Im h, then Newton on the edge system
-    eta = 1e-6 * span
-    grid = np.linspace(-span, span, 1201)
-    ims = np.empty_like(grid)
-    hs = np.empty(grid.size, dtype=complex)
-    ref = None
-    for i, x in enumerate(grid):
-        sol = solve_h(model, complex(x, eta), ref=ref)
-        ref = sol.h
-        hs[i] = sol.h
-        ims[i] = abs(sol.h.imag)
-    cutoff = 1e-3 * ims.max()
-    idx = np.flatnonzero(ims > cutoff)
-    if idx.size == 0 or idx[0] == 0 or idx[-1] == grid.size - 1:
-        raise RootNotFoundError(
-            f"band indicator found no clean bracket within [-{span:g}, {span:g}]")
-    out = []
-    for i_in, i_out in ((idx[0], idx[0] - 1), (idx[-1], idx[-1] + 1)):
-        _, edge = _edge_system_newton(model, hs[i_out].real, grid[i_out])
-        lo, hi = sorted((grid[i_in], grid[i_out]))
-        width = hi - lo
-        if not (lo - width <= edge <= hi + width):
-            raise RootNotFoundError("edge refinement escaped its bracket")
-        out.append(float(edge))
-    return (min(out), max(out))
+    else:
+        e = float(np.sqrt(_hub_zsq(model, hub_critical_degree(model))))
+    return (-e, e)
 
 
 # --------------------------------------------------------------------------
@@ -512,89 +481,47 @@ def band_edges(model: DegreeModel) -> tuple[float, float]:
 def leading_eigenvalue(model: DegreeModel) -> float:
     """Largest adjacency eigenvalue: the real z above the band with (z-1) h(z) = 1.
 
-    For degree-node models within the polynomial cutoff, h = 1/(z-1) is
-    substituted into the self-consistency equation and the resulting
-    polynomial in z is solved exactly; otherwise the scalar equation is
-    bracketed and bisected above the upper band edge.
+    On the branch z = u h, h = sqrt(G(u) / c), the condition reads
+    f(u) = u G(u) / c - sqrt(G(u) / c) - 1 = 0.  f approaches 0 from below
+    like -1/sqrt(u) at large u, so f > 0 at the critical degree u_c (the
+    band edge) brackets the root above u_c; the bracket is widened by
+    doubling and bisected, and f(u_c) <= 0 means nothing detaches.  A single
+    atom has the closed form c + 1, which detaches only for c > 1.  The
+    result is checked against a cold solve of h(z).
 
     Raises:
-        NoDetachedEigenvalueError: every real root lies inside the band.
+        NoDetachedEigenvalueError: no root lies above the band edge.
     """
-    z_up = band_edges(model)[1]
-    if model.degrees.size <= MAX_POLY_ATOMS:
-        z = _leading_poly(model, z_up)
+    c = model.mean_degree()
+    if model.degrees.size == 1:
+        if c <= 1.0:
+            raise NoDetachedEigenvalueError(
+                f"c + 1 = {c + 1.0:.6g} does not exceed the band edge "
+                f"2 sqrt(c) = {2.0 * np.sqrt(c):.6g}")
+        z = c + 1.0
     else:
-        z = _leading_bisect(model, z_up)
+        def f(u: float) -> float:
+            g = _cauchy_real(model, u) / c
+            return u * g - np.sqrt(g) - 1.0
+
+        u_c = hub_critical_degree(model)
+        if f(u_c) <= 0.0:
+            raise NoDetachedEigenvalueError(
+                f"(z-1) h(z) - 1 is non-positive at the band edge "
+                f"{band_edges(model)[1]:.6g}")
+        hi = 2.0 * u_c
+        for _ in range(200):
+            if f(hi) <= 0.0:
+                break
+            hi *= 2.0
+        else:
+            raise RootNotFoundError("failed to bracket the leading eigenvalue")
+        z = float(np.sqrt(_hub_zsq(model, _bisect(f, u_c, hi))))
     sol = solve_h(model, complex(z))
     if abs((z - 1.0) * sol.h - 1.0) > 1e-8 * max(1.0, abs(z)):
         raise InternalConsistencyError(
             f"candidate leading eigenvalue {z!r} fails (z-1) h(z) = 1")
     return float(z)
-
-
-def _leading_poly(model: DegreeModel, z_up: float) -> float:
-    # c prod_s (u - d_s) = sum_r w_r d_r (z-1)^2 prod_{s!=r} (u - d_s),  u = z^2 - z
-    d, w = model.degrees, model.weights
-    c = model.mean_degree()
-    u = np.array([0.0, -1.0, 1.0])  # ascending: z^2 - z
-    lhs = np.array([c])
-    for ds in d:
-        lhs = np.convolve(lhs, u + np.array([-ds, 0.0, 0.0]))
-    rhs = np.zeros(1)
-    zm1sq = np.array([1.0, -2.0, 1.0])  # ascending (z-1)^2
-    for r, (dr, wr) in enumerate(zip(d, w)):
-        term = np.array([wr * dr])
-        term = np.convolve(term, zm1sq)
-        for s, ds in enumerate(d):
-            if s != r:
-                term = np.convolve(term, u + np.array([-ds, 0.0, 0.0]))
-        n = max(len(rhs), len(term))
-        rhs = np.pad(rhs, (0, n - len(rhs))) + np.pad(term, (0, n - len(term)))
-    n = max(len(lhs), len(rhs))
-    poly = np.pad(lhs, (0, n - len(lhs))) - np.pad(rhs, (0, n - len(rhs)))
-    # descending, without z^{2L}: that coefficient cancels exactly because
-    # c = sum_r w_r d_r.  The next one is c itself, which can sit many decades
-    # below the largest coefficient, so no relative cut may drop it.
-    poly = poly[::-1][1:]
-    roots = np.roots(poly)
-    real = np.sort(roots.real[np.abs(roots.imag) < 1e-9 * (1.0 + np.abs(roots))])
-    sep = 1e-12 * max(1.0, abs(z_up))
-    detached = real[real > z_up + sep]
-    if detached.size == 0:
-        raise NoDetachedEigenvalueError(
-            f"no real root above the band edge {z_up:.6g}")
-    return float(detached[-1])
-
-
-def _leading_bisect(model: DegreeModel, z_up: float) -> float:
-    scale = model.moment(2) / model.mean_degree()
-    phi_ref = [None]
-
-    def phi(x: float) -> float:
-        sol = solve_h(model, complex(x), ref=phi_ref[0])
-        phi_ref[0] = sol.h
-        return float(((x - 1.0) * sol.h - 1.0).real)
-
-    lo = z_up + 1e-6 * max(1.0, z_up)
-    if phi(lo) <= 0.0:
-        raise NoDetachedEigenvalueError(
-            f"(z-1) h(z) - 1 is non-positive just above the band edge {z_up:.6g}")
-    hi = max(2.0 * scale, lo * 2.0)
-    tries = 0
-    while phi(hi) > 0.0:
-        hi *= 2.0
-        tries += 1
-        if tries > 60:
-            raise RootNotFoundError("failed to bracket the leading eigenvalue")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if phi(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-13 * max(1.0, hi):
-            break
-    return 0.5 * (lo + hi)
 
 
 def leading_eigenvalue_approx(model: DegreeModel) -> float:
@@ -605,50 +532,6 @@ def leading_eigenvalue_approx(model: DegreeModel) -> float:
 # --------------------------------------------------------------------------
 # hubs
 # --------------------------------------------------------------------------
-
-def _hub_zsq(model: DegreeModel, k_n: float) -> float:
-    d, w = model.degrees, model.weights
-    return float(k_n * k_n / model.mean_degree() * np.sum(w * d / (k_n - d)))
-
-
-def hub_critical_degree(model: DegreeModel) -> float:
-    """Smallest hub degree that detaches eigenvalues from the band.
-
-    Solves  sum w d / (k - d) = sum w d^2 / (k - d)^2  by bisection on
-    (k_max, 1e6 k_max]; the left side dominates for large k and the right
-    side diverges faster at k_max, so the sign change is unique for the
-    degree families exercised here.
-    """
-    d, w = model.degrees, model.weights
-    k_max = model.max_degree
-
-    def psi(k: float) -> float:
-        return float(np.sum(w * d / (k - d)) - np.sum(w * d * d / (k - d) ** 2))
-
-    lo = k_max * (1.0 + 1e-12) + 1e-12
-    hi = 2.0 * k_max
-    cap = 1e6 * k_max
-    while psi(hi) <= 0.0:
-        hi *= 2.0
-        if hi > cap:
-            raise RootNotFoundError(
-                f"no critical hub degree found below {cap:.3g}")
-    # psi(lo) may underflow its -inf limit; step lo up until it is finite
-    while not np.isfinite(psi(lo)):
-        lo = 0.5 * (lo + hi)
-    if psi(lo) > 0.0:
-        # transition is between k_max and lo within roundoff of the pole
-        return lo
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if psi(mid) <= 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-12 * max(1.0, hi):
-            break
-    return 0.5 * (lo + hi)
-
 
 def hub_eigenvalues(model: DegreeModel, k_n: float) -> HubPrediction:
     """Detached eigenvalue pair produced by a hub of expected degree k_n.

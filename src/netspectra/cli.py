@@ -100,8 +100,7 @@ def _run_density(model: DegreeModel, spec: dict, params: dict,
     manifest.write(_manifest_path(out_csv))
     print(f"wrote {out_csv}")
     print(f"norm_defect = {curve.norm_defect:.6g}")
-    if curve.band is not None:
-        print(f"band = ({curve.band[0]:.9g}, {curve.band[1]:.9g})")
+    print(f"band = ({curve.band[0]:.9g}, {curve.band[1]:.9g})")
     return EXIT_OK
 
 
@@ -129,7 +128,7 @@ def _run_empirical(model: DegreeModel, spec: dict, params: dict,
     if out_svg is not None:
         centers = 0.5 * (edges[1:] + edges[:-1])
         curve = analytic.density_grid(model, float(centers[0]), float(centers[-1]),
-                                      centers.size, eta=1e-6, compute_band=False)
+                                      centers.size, eta=1e-6)
         render_svg(out_svg, curves=[(curve.z, curve.rho, "#d62728")],
                    steps=(hist.bin_edges, hist.density),
                    title="empirical vs analytic density")

@@ -344,7 +344,7 @@ def l1_distance(hist: EnsembleHistogram, model: DegreeModel,
     """Integrated absolute difference between histogram and analytic density."""
     centers = 0.5 * (hist.bin_edges[1:] + hist.bin_edges[:-1])
     curve = analytic.density_grid(model, float(centers[0]), float(centers[-1]),
-                                  centers.size, eta=eta, compute_band=False)
+                                  centers.size, eta=eta)
     width = hist.bin_edges[1] - hist.bin_edges[0]
     return float(np.sum(np.abs(hist.density - curve.rho) * width))
 

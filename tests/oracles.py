@@ -78,3 +78,58 @@ def poisson_bulk_density(z: float, c: float) -> float:
     if abs(z) >= 2.0 * np.sqrt(c):
         return 0.0
     return np.sqrt(4.0 * c - z * z) / (2.0 * np.pi * c)
+
+
+def _bisect(f, lo: float, hi: float) -> float:
+    f_lo = f(lo) > 0.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if (f(mid) > 0.0) == f_lo:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def geometric_sign_changes(f, lo: float, hi: float) -> list[float]:
+    """Every sign change of a vectorized f on a 20000-point geometric grid
+    over [lo, hi], each refined by bisection, in ascending order."""
+    grid = np.geomspace(lo, hi, 20000)
+    pos = f(grid) > 0.0
+    return [_bisect(lambda x: float(f(np.array([x]))[0]), grid[i], grid[i + 1])
+            for i in np.flatnonzero(pos[1:] != pos[:-1])]
+
+
+def psi_roots(degrees: np.ndarray, weights: np.ndarray) -> list[float]:
+    """Roots of psi(u) = sum w d (u - 2d) / (u - d)^2 above the largest degree,
+    from a dense scan with u - k_max geometric over [1e-12, 1e3] k_max."""
+    d, w = np.asarray(degrees), np.asarray(weights)
+    k_max = float(d.max())
+
+    def psi(gap: np.ndarray) -> np.ndarray:
+        u = k_max + gap[:, None]
+        return np.sum(w * d * (u - 2.0 * d) / (u - d) ** 2, axis=1)
+
+    return [k_max + g for g in
+            geometric_sign_changes(psi, 1e-12 * k_max, 1e3 * k_max)]
+
+
+def leading_root(degrees: np.ndarray, weights: np.ndarray) -> float:
+    """Largest real z with  c / (z - 1)^2 = sum w d / (z^2 - z - d).
+
+    Substituting h = 1/(z - 1) into the self-consistency equation gives this
+    form.  Just above the z where z^2 - z passes the largest degree the right
+    side is +inf; at large z, (z - 1)^2 times it tends to c from below.  The
+    grid is geometric in the distance from that pole.
+    """
+    d, w = np.asarray(degrees), np.asarray(weights)
+    c = float(w @ d)
+    z0 = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * float(d.max())))
+
+    def f(gap: np.ndarray) -> np.ndarray:
+        z = z0 + gap[:, None]
+        return ((z[:, 0] - 1.0) ** 2 * np.sum(w * d / (z * z - z - d), axis=1)
+                - c)
+
+    hi = 10.0 * (float(w @ d ** 2) / c + 1.0)
+    return z0 + geometric_sign_changes(f, 1e-12 * z0, hi)[-1]

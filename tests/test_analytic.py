@@ -24,8 +24,10 @@ from netspectra import (
 )
 from oracles import (
     central_difference,
+    leading_root,
     numeric_semicircle_cauchy,
     poisson_bulk_density,
+    psi_roots,
     single_degree_h,
 )
 
@@ -269,6 +271,30 @@ def test_edge_exponent_random_models():
         assert slope == pytest.approx(0.5, abs=0.05)
 
 
+def test_real_axis_route_random_models():
+    # band edge, critical degree, leading and hub eigenvalues of randomized
+    # bounded models against the density support and independent oracles
+    rng = np.random.default_rng(2012)
+    models = [random_bounded_model(rng) for _ in range(10)]
+    models.append(DegreeModel.uniform(50.0, 150.0, nodes=128))
+    for m in models:
+        lo, hi = band_edges(m)
+        assert lo == -hi
+        delta = 1e-3 * hi
+        assert spectral_density(m, hi - delta, 1e-9) > 1e-5  # ~ sqrt(delta)
+        assert spectral_density(m, hi + delta, 1e-9) < 1e-6
+        roots = psi_roots(m.degrees, m.weights)
+        assert len(roots) == 1
+        k_c = hub_critical_degree(m)
+        assert k_c == pytest.approx(roots[-1], rel=1e-10)
+        assert leading_eigenvalue(m) > hi
+        kn = 2.0 * k_c
+        pred = hub_eigenvalues(m, kn)
+        assert pred.exists and pred.z_plus > hi
+        h = solve_h(m, pred.z_plus).h
+        assert abs(h - pred.z_plus / kn) < 1e-10
+
+
 # ---------------------------------------------------------------- leading
 
 def test_leading_poisson_exact(poisson100):
@@ -290,13 +316,14 @@ def test_leading_poisson_approx_is_c(poisson100):
                                                                   rel=1e-14)
 
 
-def test_leading_iteration_route_matches_polynomial(two_degree_model, monkeypatch):
-    exact = leading_eigenvalue(two_degree_model)
-    monkeypatch.setattr(an, "MAX_POLY_ATOMS", 0)
-    an.band_edges.cache_clear()
-    bisected = leading_eigenvalue(two_degree_model)
-    an.band_edges.cache_clear()
-    assert bisected == pytest.approx(exact, abs=1e-6)
+def test_leading_matches_oracle_root(two_degree_model):
+    # an atomic and a 64-node continuous model against the root of the
+    # substituted equation c / (z-1)^2 = sum w d / (z^2 - z - d)
+    for model in (two_degree_model, DegreeModel.uniform(60.0, 140.0, nodes=64)):
+        z = leading_eigenvalue(model)
+        assert z == pytest.approx(leading_root(model.degrees, model.weights),
+                                  abs=1e-6)
+        assert abs((z - 1.0) * solve_h(model, z).h - 1.0) < 1e-10
 
 
 def test_leading_consistency_check(two_degree_model):
