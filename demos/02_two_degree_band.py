@@ -2,8 +2,8 @@
 bends the spectral band far away from a semicircle: the bulk develops two
 lobes with sharp square-root edges.
 
-The curve comes from tracking the complex root of the cubic self-consistency
-equation across the band; the histogram pools sampled modularity spectra.
+The curve comes from the complex root of the cubic self-consistency equation
+at every grid point; the histogram pools sampled modularity spectra.
 """
 import pathlib
 

@@ -1,8 +1,8 @@
 """Degree distributions need not be discrete: any density on a finite
 interval works.  At construction it is reduced to Gauss-Legendre nodes, after
-which every computation (fixed-point solve, band edges, detached eigenvalues,
-sampling) runs exactly as in the atomic case -- just with more nodes, and a
-fixed-point solve by damped iteration instead of polynomial roots.
+which every computation (self-consistency solve, band edges, detached
+eigenvalues, sampling) runs exactly as in the atomic case, just with more
+nodes.
 """
 import pathlib
 

@@ -51,7 +51,6 @@ from .empirical import (
     write_histogram_csv,
 )
 from .errors import (
-    AmbiguousRootError,
     ConvergenceError,
     DenseCapError,
     InternalConsistencyError,

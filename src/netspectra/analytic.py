@@ -8,7 +8,7 @@ degree-weighted resolvent trace h(z),
 where (d_r, w_r) are the degree nodes and c the mean degree.  Its boundary
 values on the real axis give the bulk spectral density
 
-    rho(z) = -(c / (pi z)) * Im h(z)^2,
+    rho(z) = -Im g(z) / pi,   g = sum_r w_r / (z - d_r h) = (1 + c h^2) / z,
 
 and its real solutions outside the band give the detached eigenvalues: the
 leading adjacency eigenvalue solves (z - 1) h(z) = 1, and a hub of expected
@@ -23,7 +23,6 @@ import numpy as np
 
 from .degree_model import DegreeModel
 from .errors import (
-    AmbiguousRootError,
     ConvergenceError,
     InternalConsistencyError,
     NoDetachedEigenvalueError,
@@ -31,10 +30,9 @@ from .errors import (
     RootNotFoundError,
 )
 
-MAX_POLY_ATOMS = 12          # polynomial root route up to this many nodes
-FP_DAMPING = 0.5
-FP_MAX_ITER = 10_000
-FP_TOL = 1e-12
+NEWTON_TOL = 1e-14           # step size, relative to max(1, |h|), that ends a level
+NEWTON_MAX_STEPS = 40        # Newton steps per homotopy level
+BLOCK_ENTRIES = 2 ** 14      # points x nodes per batched block, bounds peak memory
 RESIDUAL_RTOL = 1e-10        # HSolution acceptance: residual < tol * max(1, |h|)
 DENSITY_FLOOR = -1e-9        # pre-clamp density may not dip below this
 
@@ -50,7 +48,7 @@ class HSolution:
     z: complex
     h: complex
     residual: float
-    method: str  # "closed-form" | "polynomial-roots" | "damped-iteration"
+    method: str  # "closed-form" | "homotopy-newton"
 
 
 @dataclass(frozen=True)
@@ -82,9 +80,9 @@ class HubPrediction:
 # semicircle building blocks
 # --------------------------------------------------------------------------
 
-def _sqrt_tail(z: complex, a: float) -> complex:
+def _sqrt_tail(z: complex | np.ndarray, a: float) -> complex | np.ndarray:
     # sqrt(z^2 - a^2) on the branch that behaves like z at infinity
-    z = complex(z)
+    z = np.asarray(z, dtype=complex)
     return np.sqrt(z - a) * np.sqrt(z + a)
 
 
@@ -110,206 +108,137 @@ def semicircle_cauchy_transform(z: complex, c: float) -> complex:
     return (4.0 / c) / (complex(z) + s) ** 2
 
 
-def _h_single_atom(z: complex, c: float) -> complex:
+def _h_single_atom(z: np.ndarray, c: float) -> np.ndarray:
     # closed form for a single degree atom: h = (z - sqrt(z^2 - 4c)) / (2c),
     # written as 2 / (z + sqrt(z^2 - 4c)) to avoid cancellation at large |z|
-    s = _sqrt_tail(z, 2.0 * np.sqrt(c))
-    return 2.0 / (complex(z) + s)
+    return 2.0 / (z + _sqrt_tail(z, 2.0 * np.sqrt(c)))
 
 
 # --------------------------------------------------------------------------
 # the self-consistency solve
 # --------------------------------------------------------------------------
 
-def _rhs(model: DegreeModel, z: complex, h: complex) -> complex:
-    d, w = model.degrees, model.weights
-    return complex(np.sum(w * d / (z - d * h))) / model.mean_degree()
+def _route(model: DegreeModel) -> str:
+    return "closed-form" if model.degrees.size == 1 else "homotopy-newton"
 
 
-def _rhs_dh(model: DegreeModel, z: complex, h: complex) -> complex:
-    d, w = model.degrees, model.weights
-    return complex(np.sum(w * d * d / (z - d * h) ** 2)) / model.mean_degree()
+def _homotopy_newton(model: DegreeModel, z: np.ndarray) -> np.ndarray:
+    """h at every point of z (Im z >= 0) by Newton steps along a vertical homotopy.
 
-
-def _residual(model: DegreeModel, z: complex, h: complex) -> float:
-    return abs(h - _rhs(model, z, h))
-
-
-def _h_poly_coeffs(model: DegreeModel, z: complex) -> np.ndarray:
-    """Coefficients (descending) of the degree-(L+1) polynomial in h.
-
-    Clearing denominators in the self-consistency equation gives
-
-        h * prod_r (z - d_r h) - (1/c) sum_r w_r d_r prod_{s!=r} (z - d_s h) = 0.
+    Each point starts at Im = 10 max(sqrt(<d^2>), |z|, 1), where h = 1/z, and
+    halves Im z down to its target: Im z itself, or 1e-13 max(1, |Re z|)
+    followed by a final step onto the real axis.  At each level Newton steps
+    on f(h) = h - (1/c) sum w d / (z - d h) start from the previous level's
+    root; only points whose last step exceeded NEWTON_TOL max(1, |h|) take
+    another, up to NEWTON_MAX_STEPS.
     """
-    d, w = model.degrees, model.weights
-    c = model.mean_degree()
-    lead = np.array([1.0 + 0.0j])  # ascending coefficients in h
-    for dr in d:
-        lead = np.convolve(lead, np.array([z, -dr], dtype=complex))
-    lead = np.concatenate([[0.0], lead])  # multiply by h
-    rhs = np.zeros(1, dtype=complex)
-    for r, (dr, wr) in enumerate(zip(d, w)):
-        term = np.array([wr * dr / c], dtype=complex)
-        for s, ds in enumerate(d):
-            if s != r:
-                term = np.convolve(term, np.array([z, -ds], dtype=complex))
-        n = max(len(rhs), len(term))
-        rhs = np.pad(rhs, (0, n - len(rhs))) + np.pad(term, (0, n - len(term)))
-    n = max(len(lead), len(rhs))
-    poly = np.pad(lead, (0, n - len(lead))) - np.pad(rhs, (0, n - len(rhs)))
-    return poly[::-1]  # descending for np.roots
-
-
-def _admissible(roots: np.ndarray, z: complex, c: float) -> np.ndarray:
-    """Filter candidate roots down to those on (or near) the physical sheet.
-
-    For Im z > 0 the physical branch has Im h <= 0; additionally the induced
-    density -(c / (pi Re z)) Im h^2 may not be substantially negative.
-    """
-    keep = []
-    pos_tol = 1e-9 * (1.0 + np.abs(roots))
-    for h, tol in zip(roots, pos_tol):
-        if z.imag > 0 and h.imag > tol:
-            continue
-        if abs(z.real) > 1e-12:
-            dens = -(c / (np.pi * z.real)) * (h * h).imag
-            if dens < DENSITY_FLOOR * 10 * max(1.0, abs(h) ** 2 * c):
-                continue
-        keep.append(h)
-    return np.asarray(keep, dtype=complex)
-
-
-def _pick_nearest(cands: np.ndarray, ref: complex) -> complex:
-    if cands.size == 0:
-        raise ConvergenceError("no admissible root candidate", method="polynomial-roots")
-    dist = np.abs(cands - ref)
-    order = np.argsort(dist)
-    best = cands[order[0]]
-    if order.size >= 2:
-        second = cands[order[1]]
-        d0, d1 = dist[order[0]], dist[order[1]]
-        scale = max(1e-12, 1e-6 * abs(best))
-        if abs(best - second) > scale and d1 < 1.05 * d0:
-            raise AmbiguousRootError(
-                f"two admissible roots {best!r} and {second!r} are equally close "
-                f"to the tracked branch at distance {d0:.3e}")
-    return complex(best)
-
-
-def _solve_poly_at(model: DegreeModel, z: complex, ref: complex) -> complex:
-    roots = np.roots(_h_poly_coeffs(model, z))
-    cands = _admissible(roots, z, model.mean_degree())
-    h = _pick_nearest(cands, ref)
-    return _newton_polish(model, z, h)
-
-
-def _newton_polish(model: DegreeModel, z: complex, h: complex,
-                   steps: int = 8) -> complex:
-    for _ in range(steps):
-        f = h - _rhs(model, z, h)
-        if abs(f) < 1e-16 * max(1.0, abs(h)):
-            break
-        fp = 1.0 - _rhs_dh(model, z, h)
-        if fp == 0:
-            break
-        step = f / fp
-        if abs(step) > 0.5 * max(1.0, abs(h)):
-            break  # polish only; never jump branches
-        h = h - step
+    d = model.degrees
+    wd = model.weights * d / model.mean_degree()
+    wdd = wd * d
+    goal = z.imag
+    target = np.where(goal > 0.0, goal, 1e-13 * np.maximum(1.0, np.abs(z.real)))
+    im = 10.0 * np.maximum(max(np.sqrt(model.moment(2)), 1.0), np.abs(z))
+    h = 1.0 / (z.real + 1j * im)
+    todo = np.arange(z.size)  # points not yet solved at their goal
+    while todo.size:
+        zz = z.real[todo] + 1j * im[todo]
+        hh = h[todo]
+        live = np.arange(todo.size)
+        for _ in range(NEWTON_MAX_STEPS):
+            q = 1.0 / (zz[live, None] - np.multiply.outer(hh[live], d))
+            step = (hh[live] - q @ wd) / (1.0 - (q * q) @ wdd)
+            hh[live] -= step
+            live = live[np.abs(step) > NEWTON_TOL * np.maximum(1.0, np.abs(hh[live]))]
+            if not live.size:
+                break
+        h[todo] = hh
+        level, t = im[todo], target[todo]
+        done = level == goal[todo]
+        im[todo] = np.where(level > 1.5 * t, np.maximum(0.5 * level, t), goal[todo])
+        todo = todo[~done]
     return h
 
 
-def _solve_iter_at(model: DegreeModel, z: complex, ref: complex,
-                   tol: float = FP_TOL) -> complex:
-    h = complex(ref)
-    for _ in range(FP_MAX_ITER):
-        g = _rhs(model, z, h)
-        nxt = (1.0 - FP_DAMPING) * h + FP_DAMPING * g
-        if abs(nxt - h) < tol * max(1.0, abs(nxt)):
-            h = nxt
-            break
-        h = nxt
-    return _newton_polish(model, z, h, steps=40)
+def _finish(model: DegreeModel, z: np.ndarray, h: np.ndarray,
+            method: str) -> tuple[np.ndarray, np.ndarray]:
+    """Residual and density at each solved point, checked as post-conditions.
+
+    The density is rho = -Im g / pi from the node sum g = sum w / (z - d h),
+    which equals (1 + c h^2) / z on the solution but has no 1/z, so it stays
+    accurate at z near 0.
+
+    Raises:
+        ConvergenceError: a residual is not below RESIDUAL_RTOL * max(1, |h|).
+        InternalConsistencyError: a point with Im z > 0 has density below
+            DENSITY_FLOOR.
+    """
+    d, w = model.degrees, model.weights
+    q = 1.0 / (z[:, None] - np.multiply.outer(h, d))
+    res = np.abs(h - q @ (w * d) / model.mean_degree())
+    rho = -(q @ w).imag / np.pi
+    bad = ~(res <= RESIDUAL_RTOL * np.maximum(1.0, np.abs(h)))  # NaN counts as bad
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ConvergenceError(
+            f"solve for h stalled at z={complex(z[i])!r}: residual {res[i]:.3e} "
+            f"via {method}", residual=float(res[i]), method=method)
+    low = (z.imag > 0.0) & (rho < DENSITY_FLOOR)
+    if low.any():
+        i = int(np.argmax(low))
+        raise InternalConsistencyError(
+            f"selected branch at z={complex(z[i])!r} induces negative density "
+            f"{rho[i]:.3e}")
+    return res, rho
 
 
-def _descent_path(z: complex, start_im: float) -> list[complex]:
-    """Vertical homotopy levels from high in the upper half plane down to z."""
-    target = z.imag if z.imag > 0 else 1e-13 * max(1.0, abs(z.real))
-    levels = [complex(z.real, start_im)]
-    im = start_im
-    while im > target * 1.5:
-        im /= 2.0
-        levels.append(complex(z.real, max(im, target)))
-    if z.imag > 0:
-        levels[-1] = z
-    else:
-        levels.append(z)  # final step lands on the real axis
-    return levels
+def _solve_h_batch(model: DegreeModel,
+                   z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """h, residual and density rho = -Im g / pi at every point of z (Im z >= 0).
+
+    Points are solved in blocks of BLOCK_ENTRIES // nodes, which bounds the
+    (points x nodes) work arrays and so the peak memory of long grids.
+    """
+    z = np.asarray(z, dtype=complex)
+    method = _route(model)
+    h = np.empty_like(z)
+    res = np.empty(z.shape)
+    rho = np.empty(z.shape)
+    size = max(1, BLOCK_ENTRIES // model.degrees.size)
+    for lo in range(0, z.size, size):
+        part = slice(lo, lo + size)
+        h[part] = (_h_single_atom(z[part], model.mean_degree())
+                   if method == "closed-form" else _homotopy_newton(model, z[part]))
+        res[part], rho[part] = _finish(model, z[part], h[part], method)
+    return h, res, rho
 
 
-def solve_h(model: DegreeModel, z: complex, ref: complex | None = None) -> HSolution:
+def solve_h(model: DegreeModel, z: complex) -> HSolution:
     """Solve the self-consistency equation at one point.
+
+    A single degree atom has a closed form; every other model takes the
+    homotopy-Newton solve of `_homotopy_newton` at this one point.
 
     Args:
         model: degree distribution.
         z: evaluation point; Im z > 0, or real z outside the band (real z
-           inside the band returns the boundary value from above).
-        ref: optional warm start; when given, the root nearest to it is
-           tracked directly instead of running the cold homotopy.
+           inside the band returns the boundary value from above).  Im z < 0
+           is solved at the conjugate and reflected back.
 
     Returns:
         HSolution with residual below 1e-10 * max(1, |h|).
 
     Raises:
         ConvergenceError: residual tolerance not reached.
-        AmbiguousRootError: two admissible branches cannot be distinguished.
+        InternalConsistencyError: the solution induces a negative density.
     """
     z = complex(z)
     if z.imag < 0:  # conjugate symmetry: solve mirrored, reflect back
-        sol = solve_h(model, z.conjugate(),
-                      ref=None if ref is None else np.conj(ref))
+        sol = solve_h(model, z.conjugate())
         return HSolution(z=z, h=sol.h.conjugate(), residual=sol.residual,
                          method=sol.method)
-
-    c = model.mean_degree()
-    if model.degrees.size == 1:
-        h = _h_single_atom(z, c)
-        return _finish(model, z, h, "closed-form")
-
-    poly = model.degrees.size <= MAX_POLY_ATOMS
-    method = "polynomial-roots" if poly else "damped-iteration"
-
-    if ref is not None:
-        h = (_solve_poly_at(model, z, complex(ref)) if poly
-             else _solve_iter_at(model, z, complex(ref)))
-        return _finish(model, z, h, method)
-
-    start_im = 10.0 * max(np.sqrt(model.moment(2)), abs(z), 1.0)
-    levels = _descent_path(z, start_im)
-    h = 1.0 / levels[0]
-    for i, zz in enumerate(levels):
-        if poly:
-            h = _solve_poly_at(model, zz, h)
-        else:
-            # intermediate homotopy levels only feed the next warm start
-            h = _solve_iter_at(model, zz, h,
-                               tol=FP_TOL if i == len(levels) - 1 else 1e-6)
-    return _finish(model, z, h, method)
-
-
-def _finish(model: DegreeModel, z: complex, h: complex, method: str) -> HSolution:
-    res = _residual(model, z, h)
-    if not np.isfinite(res) or res > RESIDUAL_RTOL * max(1.0, abs(h)):
-        raise ConvergenceError(
-            f"solve for h stalled at z={z!r}: residual {res:.3e} via {method}",
-            residual=res, method=method)
-    if 0.0 < z.imag <= 1.0 and abs(z.real) > 1e-12:
-        dens = -(model.mean_degree() / (np.pi * z.real)) * (h * h).imag
-        if dens < DENSITY_FLOOR:
-            raise InternalConsistencyError(
-                f"selected branch at z={z!r} induces negative density {dens:.3e}")
-    return HSolution(z=z, h=h, residual=res, method=method)
+    h, res, _ = _solve_h_batch(model, np.array([z]))
+    return HSolution(z=z, h=complex(h[0]), residual=float(res[0]),
+                     method=_route(model))
 
 
 # --------------------------------------------------------------------------
@@ -319,21 +248,14 @@ def _finish(model: DegreeModel, z: complex, h: complex, method: str) -> HSolutio
 def spectral_density(model: DegreeModel, z: float, eta: float) -> float:
     """Bulk spectral density at real z, smoothed at scale eta.
 
-    Evaluates -(c / (pi z)) Im h(z + i eta)^2; tiny negative values (above
-    -1e-9) are clamped to zero.  z = 0 is handled through the Stieltjes
-    transform, whose limit there is finite.
+    Evaluates -Im g(z + i eta) / pi from the node sum
+    g = sum w / (z + i eta - d h); tiny negative values (above -1e-9) are
+    clamped to zero.
     """
     if eta <= 0:
         raise ValueError("eta must be positive")
-    if z == 0.0:
-        g = stieltjes_transform(model, 1j * eta)
-        return max(0.0, -g.imag / np.pi)
-    sol = solve_h(model, complex(z, eta))
-    rho = -(model.mean_degree() / (np.pi * z)) * (sol.h ** 2).imag
-    if rho < DENSITY_FLOOR:
-        raise InternalConsistencyError(
-            f"density {rho:.3e} below clamp floor at z={z!r}")
-    return max(0.0, float(rho))
+    _, _, rho = _solve_h_batch(model, np.array([complex(z, eta)]))
+    return max(0.0, float(rho[0]))
 
 
 def stieltjes_transform(model: DegreeModel, z: complex) -> complex:
@@ -357,12 +279,12 @@ def stieltjes_transform(model: DegreeModel, z: complex) -> complex:
 
 def density_grid(model: DegreeModel, z_min: float, z_max: float, points: int,
                  eta: float | None = None) -> SpectralCurve:
-    """Sweep the density over [z_min, z_max] with branch continuity tracking.
+    """Sweep the density over [z_min, z_max] in one batched solve.
 
-    Each grid point warm-starts the solve from its neighbor, which keeps the
-    selected branch continuous across the band.  A grid point at exactly 0 is
-    nudged by half a step.  Records the band edges from `band_edges`, and the
-    trapezoid normalization defect and second moment as diagnostics.
+    Every grid point is solved cold, with no warm start from its neighbor,
+    and its density is taken from the node sum as in `spectral_density`.
+    Records the band edges from `band_edges`, and the trapezoid
+    normalization defect and second moment as diagnostics.
     """
     if not z_min < z_max:
         raise ValueError("need z_min < z_max")
@@ -373,20 +295,8 @@ def density_grid(model: DegreeModel, z_min: float, z_max: float, points: int,
         raise ValueError("eta must be positive")
 
     grid = np.linspace(z_min, z_max, int(points))
-    half = 0.5 * (grid[1] - grid[0])
-    grid[grid == 0.0] += half
-
-    c = model.mean_degree()
-    rho = np.empty_like(grid)
-    ref = None
-    for i, x in enumerate(grid):
-        sol = solve_h(model, complex(x, eta), ref=ref)
-        ref = sol.h
-        val = -(c / (np.pi * x)) * (sol.h ** 2).imag
-        if val < DENSITY_FLOOR:
-            raise InternalConsistencyError(
-                f"density {val:.3e} below clamp floor at z={x!r}")
-        rho[i] = max(0.0, val)
+    _, _, rho = _solve_h_batch(model, grid + 1j * eta)
+    rho = np.maximum(rho, 0.0)
 
     band = band_edges(model)
     norm_defect = abs(float(np.trapezoid(rho, grid)) - 1.0)

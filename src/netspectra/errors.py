@@ -23,10 +23,6 @@ class ConvergenceError(NetspectraError, RuntimeError):
         self.method = method
 
 
-class AmbiguousRootError(NetspectraError, RuntimeError):
-    """Two distinct candidate roots are equally admissible."""
-
-
 class RootNotFoundError(NetspectraError, RuntimeError):
     """A bracketing or bisection search failed to locate its target."""
 

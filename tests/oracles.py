@@ -6,6 +6,8 @@ quadratic roots, finite differences).
 """
 from __future__ import annotations
 
+from functools import reduce
+
 import numpy as np
 from scipy.integrate import quad
 
@@ -67,6 +69,29 @@ def single_degree_h(z: complex, c: float) -> complex:
         return complex(neg[0])
     # real z off the support: the branch decaying like 1/z has smaller modulus
     return complex(roots[np.argmin(np.abs(roots))])
+
+
+def physical_root(degrees: np.ndarray, weights: np.ndarray, z: complex) -> complex:
+    """The root with Im h < 0 of the cleared self-consistency equation, Im z > 0.
+
+    Clearing denominators in h = (1/c) sum_r w_r d_r / (z - d_r h) gives the
+    polynomial  h prod_r (z - d_r h) - (1/c) sum_r w_r d_r prod_{s!=r} (z - d_s h).
+    For Im z > 0 the map h -> (1/c) sum w d / (z - d h) sends the lower half
+    plane into itself, so by Schwarz-Pick it has at most one fixed point there.
+    """
+    d, w = np.asarray(degrees, dtype=float), np.asarray(weights, dtype=float)
+    c = float(w @ d)
+    z = complex(z)
+    factors = [np.array([-dr, z]) for dr in d]  # z - d_r h, descending in h
+    poly = np.polymul([1.0, 0.0], reduce(np.polymul, factors))
+    for r in range(d.size):
+        rest = reduce(np.polymul, factors[:r] + factors[r + 1:],
+                      np.array([1.0 + 0.0j]))
+        poly = np.polysub(poly, (w[r] * d[r] / c) * rest)
+    roots = np.roots(poly)
+    below = roots[roots.imag < 0.0]
+    assert below.size == 1, f"{below.size} roots with Im h < 0 at z={z!r}"
+    return complex(below[0])
 
 
 def central_difference(f, x: float, h: float) -> float:

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-import netspectra.analytic as an
 from netspectra import (
     DegreeModel,
     NoDetachedEigenvalueError,
@@ -26,6 +25,7 @@ from oracles import (
     central_difference,
     leading_root,
     numeric_semicircle_cauchy,
+    physical_root,
     poisson_bulk_density,
     psi_roots,
     single_degree_h,
@@ -123,15 +123,24 @@ def test_h_two_degree_satisfies_cubic(two_degree_model):
         assert abs(val) < 1e-10 * max(1.0, abs(z) ** 2)
 
 
-def test_h_polynomial_vs_iteration_routes(two_degree_model, monkeypatch):
+def test_h_matches_physical_root_oracle():
+    # 2-12 atoms with degree ratios up to 100:1 against the unique root with
+    # Im h < 0 of the cleared polynomial
     rng = np.random.default_rng(8)
-    points = [complex(rng.uniform(-25, 25), 10 ** rng.uniform(-5, 0))
-              for _ in range(20)]
-    by_poly = [solve_h(two_degree_model, z).h for z in points]
-    monkeypatch.setattr(an, "MAX_POLY_ATOMS", 0)
-    by_iter = [solve_h(two_degree_model, z).h for z in points]
-    for a, b in zip(by_poly, by_iter):
-        assert abs(a - b) < 1e-9
+    for _ in range(10):
+        n_atoms = int(rng.integers(2, 13))
+        lo = rng.uniform(1.0, 50.0)
+        degrees = np.sort(lo * 100.0 ** rng.uniform(0.0, 1.0, size=n_atoms))
+        degrees += np.arange(n_atoms) * 1e-3
+        weights = rng.uniform(0.05, 1.0, size=n_atoms)
+        weights /= weights.sum()
+        model = DegreeModel.from_atoms(list(zip(degrees, weights)))
+        edge = band_edges(model)[1]
+        for _ in range(10):
+            z = complex(rng.uniform(-1.5 * edge, 1.5 * edge),
+                        10 ** rng.uniform(-3, 0))
+            want = physical_root(model.degrees, model.weights, z)
+            assert abs(solve_h(model, z).h - want) < 1e-9
 
 
 def test_h_residual_and_conjugate(two_degree_model):
@@ -142,12 +151,20 @@ def test_h_residual_and_conjugate(two_degree_model):
     assert dn.h == pytest.approx(np.conj(up.h), rel=1e-12)
 
 
-def test_h_warm_start_matches_cold(two_degree_model):
-    z = complex(7.0, 1e-4)
-    cold = solve_h(two_degree_model, z)
-    near = solve_h(two_degree_model, complex(7.05, 1e-4))
-    warm = solve_h(two_degree_model, z, ref=near.h)
-    assert warm.h == pytest.approx(cold.h, rel=1e-10)
+def test_density_grid_matches_pointwise_solve(two_degree_model):
+    # the blocked grid solve against a cold solve_h at every point; 2001
+    # points are 31 full blocks of 63 and a partial one at 257 nodes
+    mixture = DegreeModel.from_spec(
+        {"atoms": [[30.0, 0.25]],
+         "continuous": {"kind": "uniform", "lo": 80.0, "hi": 120.0, "nodes": 256}})
+    for model in (two_degree_model, mixture):
+        hi = band_edges(model)[1]
+        curve = density_grid(model, -1.2 * hi, 1.2 * hi, 2001, eta=1e-6)
+        for x, rho in zip(curve.z, curve.rho):
+            z = complex(x, 1e-6)
+            h = solve_h(model, z).h
+            g = np.sum(model.weights / (z - model.degrees * h))
+            assert abs(rho - max(0.0, -g.imag / np.pi)) < 1e-12
 
 
 # ---------------------------------------------------------------- density
@@ -188,10 +205,15 @@ def test_density_grid_poisson(poisson100):
     assert tail.max() < 1e-4
 
 
-def test_density_grid_nudges_zero(poisson100):
-    curve = density_grid(poisson100, -1.0, 1.0, 5, eta=1e-6)
-    assert 0.0 not in curve.z
+def test_density_grid_point_near_zero(two_degree_model):
+    # linspace puts a point at -3.55e-15 rather than at 0; the density there
+    # must not lose accuracy to a 1/z
+    curve = density_grid(two_degree_model, -26.0, 13.0, 70, eta=1e-6)
     assert np.all(np.diff(curve.z) > 0)
+    i = int(np.argmin(np.abs(curve.z)))
+    assert 0.0 < abs(curve.z[i]) < 1e-14
+    assert curve.rho[i] == pytest.approx(
+        spectral_density(two_degree_model, 0.0, 1e-6), rel=1e-6)
 
 
 def test_density_grid_validation(poisson100):
@@ -202,10 +224,13 @@ def test_density_grid_validation(poisson100):
 
 
 def test_density_grid_two_degree_moments(two_degree_model):
-    curve = density_grid(two_degree_model, -25.0, 25.0, 2001, eta=1e-6)
-    assert curve.norm_defect < 5e-3
-    assert curve.second_moment == pytest.approx(87.5, rel=0.02)
-    assert abs(np.trapezoid(curve.rho * curve.z, curve.z)) < 5e-3 * np.sqrt(87.5)
+    # eta = 1e-9 puts the points just outside the band edges next to a
+    # second, unphysical root of the cubic
+    for eta in (1e-6, 1e-9):
+        curve = density_grid(two_degree_model, -25.0, 25.0, 2001, eta=eta)
+        assert curve.norm_defect < 5e-3
+        assert curve.second_moment == pytest.approx(87.5, rel=0.02)
+        assert abs(np.trapezoid(curve.rho * curve.z, curve.z)) < 5e-3 * np.sqrt(87.5)
 
 
 # ---------------------------------------------------------------- stieltjes
