@@ -59,6 +59,5 @@ from .errors import (
     NetspectraError,
     NoDetachedEigenvalueError,
     PoleError,
-    RootNotFoundError,
     StagnationError,
 )

@@ -27,7 +27,6 @@ from .errors import (
     InternalConsistencyError,
     NoDetachedEigenvalueError,
     PoleError,
-    RootNotFoundError,
 )
 
 NEWTON_TOL = 1e-14           # step size, relative to max(1, |h|), that ends a level
@@ -420,12 +419,8 @@ def leading_eigenvalue(model: DegreeModel) -> float:
                 f"(z-1) h(z) - 1 is non-positive at the band edge "
                 f"{band_edges(model)[1]:.6g}")
         hi = 2.0 * u_c
-        for _ in range(200):
-            if f(hi) <= 0.0:
-                break
+        while f(hi) > 0.0:  # f -> 0- like -1/sqrt(u), so a finite hi ends this
             hi *= 2.0
-        else:
-            raise RootNotFoundError("failed to bracket the leading eigenvalue")
         z = float(np.sqrt(_hub_zsq(model, _bisect(f, u_c, hi))))
     sol = solve_h(model, complex(z))
     if abs((z - 1.0) * sol.h - 1.0) > 1e-8 * max(1.0, abs(z)):

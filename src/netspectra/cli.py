@@ -19,7 +19,8 @@ import numpy as np
 
 from . import __version__, analytic, empirical
 from .degree_model import DegreeModel
-from .errors import NetspectraError, NoDetachedEigenvalueError
+from .errors import (ModelValidationError, NetspectraError,
+                     NoDetachedEigenvalueError)
 from .svgplot import render_svg
 
 EXIT_OK = 0
@@ -355,6 +356,10 @@ def run(argv=None) -> int:
     except NoDetachedEigenvalueError as exc:
         print(f"absent result: {exc}", file=sys.stderr)
         return EXIT_ABSENT
+    except ModelValidationError as exc:
+        # an invalid model is bad input, not a numeric failure
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except NetspectraError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -23,10 +23,6 @@ class ConvergenceError(NetspectraError, RuntimeError):
         self.method = method
 
 
-class RootNotFoundError(NetspectraError, RuntimeError):
-    """A bracketing or bisection search failed to locate its target."""
-
-
 class NoDetachedEigenvalueError(NetspectraError, RuntimeError):
     """No real solution exists outside the spectral band."""
 
@@ -40,7 +36,8 @@ class MeanOverflowError(NetspectraError, ValueError):
 
 
 class StagnationError(NetspectraError, RuntimeError):
-    """Iterative eigensolver stalled on an unseparated dominant pair."""
+    """Iterative eigensolver missed its residual bound (e.g. a tolerance finer
+    than the dominant pair can be resolved in floating point)."""
 
 
 class InternalConsistencyError(NetspectraError, RuntimeError):

@@ -182,6 +182,21 @@ def test_non_numeric_model_entry_is_usage_error(tmp_path, capsys, atoms):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("spec, message", [
+    ({"atoms": [[100.0, 0.5]]}, "weights must sum to 1"),
+    ({"atoms": [[-5.0, 1.0]]}, "atom degrees must be positive"),
+    ({"continuous": {"kind": "lognormal", "lo": 1.0, "hi": 9.0}},
+     "unknown continuous kind"),
+])
+def test_invalid_model_is_usage_error(tmp_path, capsys, spec, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(spec))
+    assert run(["leading", str(bad)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert err.count("\n") == 1
+
+
 def test_non_integer_dense_cap_is_usage_error(tmp_path, poisson_file, capsys,
                                               monkeypatch):
     monkeypatch.setenv("NETSPECTRA_DENSE_CAP", "lots")

@@ -133,6 +133,51 @@ def test_top_eigenpair_deterministic():
     assert np.array_equal(a[1], b[1])
 
 
+def _rotated(spectrum, seed):
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal(
+        (spectrum.size, spectrum.size)))
+    return (q * spectrum) @ q.T
+
+
+def _random_symmetric(n):
+    m = np.random.default_rng(606).standard_normal((n, n))
+    return m + m.T
+
+
+@pytest.mark.parametrize("m", [
+    *(pytest.param(_random_symmetric(n), id=f"random{n}")
+      for n in (1, 2, 3, 21, 200)),
+    pytest.param(_rotated(np.concatenate([[-50.0], np.linspace(-1.0, 3.0, 30)]),
+                          7), id="negative_dominant"),
+    pytest.param(_rotated(np.concatenate([np.linspace(-2.0, 1.0, 25),
+                                          [4.0, 4.0]]), 8), id="degenerate_top"),
+    pytest.param(np.zeros((7, 7)), id="zero"),
+])
+def test_top_eigenpair_matches_eigvalsh_oracle(m):
+    tol = 1e-10
+    lam, v = top_eigenpair(lambda x: m @ x, m.shape[0], tol=tol)
+    ref = np.linalg.eigvalsh(m)[-1]
+    assert abs(lam - ref) <= tol * max(1.0, abs(ref))
+    assert np.linalg.norm(m @ v - lam * v) <= tol * max(abs(lam), 1e-12)
+    assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
+    assert v[np.argmax(np.abs(v))] > 0
+
+
+@pytest.mark.parametrize("failure", ["no_convergence", "arpack_error"])
+def test_top_eigenpair_arpack_failure_is_stagnation(monkeypatch, failure):
+    import scipy.sparse.linalg as sla
+
+    def failing_eigsh(*args, **kwargs):
+        if failure == "no_convergence":
+            raise sla.ArpackNoConvergence("no convergence", np.empty(0),
+                                          np.empty((0, 0)))
+        raise sla.ArpackError(-8)
+
+    monkeypatch.setattr(sla, "eigsh", failing_eigsh)
+    with pytest.raises(StagnationError):
+        top_eigenpair(lambda x: 2.0 * x, 10, tol=1e-8)
+
+
 # ---------------------------------------------------------------- ensembles
 
 def test_replicate_seed_mixing():
