@@ -68,8 +68,7 @@ class HubPrediction:
 
     k_n: float
     exists: bool
-    z_plus: float | None
-    z_minus: float | None
+    z_plus: float | None  # the pair is +-z_plus
     k_critical: float
     vn_sq: float
     neighbor_vi_sq_mean: float
@@ -330,14 +329,9 @@ def _bisect(f, lo: float, hi: float) -> float:
             hi = mid
 
 
-def _cauchy_real(model: DegreeModel, u: float) -> float:
-    d, w = model.degrees, model.weights
-    return float(np.sum(w * d / (u - d)))
-
-
 def _hub_zsq(model: DegreeModel, k_n: float) -> float:
     # z(u)^2 = u^2 G(u) / c at u = k_n
-    return float(k_n * k_n / model.mean_degree() * _cauchy_real(model, k_n))
+    return k_n * k_n / model.mean_degree() * model.cauchy_transform(k_n)
 
 
 def hub_critical_degree(model: DegreeModel) -> float:
@@ -410,7 +404,7 @@ def leading_eigenvalue(model: DegreeModel) -> float:
         z = c + 1.0
     else:
         def f(u: float) -> float:
-            g = _cauchy_real(model, u) / c
+            g = model.cauchy_transform(u) / c
             return u * g - np.sqrt(g) - 1.0
 
         u_c = hub_critical_degree(model)
@@ -455,7 +449,7 @@ def hub_eigenvalues(model: DegreeModel, k_n: float) -> HubPrediction:
             f"hub degree {k_n!r} must strictly exceed the maximum model degree {k_max!r}")
     k_crit = hub_critical_degree(model)
     if k_n <= k_crit:
-        return HubPrediction(k_n=k_n, exists=False, z_plus=None, z_minus=None,
+        return HubPrediction(k_n=k_n, exists=False, z_plus=None,
                              k_critical=k_crit, vn_sq=0.0, neighbor_vi_sq_mean=0.0)
     z = float(np.sqrt(_hub_zsq(model, k_n)))
     sol = solve_h(model, complex(z))
@@ -464,7 +458,7 @@ def hub_eigenvalues(model: DegreeModel, k_n: float) -> HubPrediction:
             f"hub eigenvalue {z!r} fails h(z) = z / k_n: "
             f"h={sol.h!r} vs {z / k_n!r}")
     vn_sq, neighbor = _hub_localization(model, k_n, z)
-    return HubPrediction(k_n=k_n, exists=True, z_plus=z, z_minus=-z,
+    return HubPrediction(k_n=k_n, exists=True, z_plus=z,
                          k_critical=k_crit, vn_sq=vn_sq,
                          neighbor_vi_sq_mean=neighbor)
 

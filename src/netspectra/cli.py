@@ -89,6 +89,7 @@ def _run_density(model: DegreeModel, spec: dict, params: dict,
                  out_csv: Path, out_svg: Path | None) -> int:
     curve = analytic.density_grid(model, params["zmin"], params["zmax"],
                                   params["points"], eta=params["eta"])
+    params = {**params, "eta": curve.eta}  # the resolved eta, for replay
     _write_curve_csv(out_csv, curve.z, curve.rho)
     outputs = [out_csv.name]
     if out_svg is not None:
@@ -108,26 +109,23 @@ def _run_density(model: DegreeModel, spec: dict, params: dict,
 def _run_empirical(model: DegreeModel, spec: dict, params: dict,
                    out_csv: Path, out_svg: Path | None,
                    dump_csv: Path | None) -> int:
-    values = empirical.pooled_spectra(model, params["n"], params["reps"],
-                                      params["seed"], params["kind"])
-    bin_range = tuple(params["range"])
-    edges = np.linspace(bin_range[0], bin_range[1], params["bins"] + 1)
-    counts, _ = np.histogram(values, bins=edges)
-    width = edges[1] - edges[0]
-    hist = empirical.EnsembleHistogram(
-        bin_edges=edges, density=counts / (counts.sum() * width),
-        replicates=params["reps"], n=params["n"], base_seed=params["seed"])
+    hist = empirical.empirical_density(
+        model, params["n"], params["reps"], params["bins"], params["seed"],
+        params["kind"], bin_range=params.get("range"))
+    # the resolved range, for replay
+    params = {**params, "range": [float(hist.bin_edges[0]),
+                                  float(hist.bin_edges[-1])]}
     empirical.write_histogram_csv(hist, out_csv)
     outputs = [out_csv.name]
     if dump_csv is not None:
         empirical.write_eigenvalue_dump(
-            values, dump_csv,
+            hist.eigenvalues, dump_csv,
             manifest={"model": spec, "n": params["n"], "seed": params["seed"],
                       "kind": params["kind"], "replicates": params["reps"]})
         outputs.extend([dump_csv.name, dump_csv.name + ".manifest.json"])
     l1 = empirical.l1_distance(hist, model)
     if out_svg is not None:
-        centers = 0.5 * (edges[1:] + edges[:-1])
+        centers = 0.5 * (hist.bin_edges[1:] + hist.bin_edges[:-1])
         curve = analytic.density_grid(model, float(centers[0]), float(centers[-1]),
                                       centers.size, eta=1e-6)
         render_svg(out_svg, curves=[(curve.z, curve.rho, "#d62728")],
@@ -178,32 +176,16 @@ def _run_hub_sweep(model: DegreeModel, spec: dict, params: dict,
 
 def _cmd_density(args) -> int:
     model, spec = _load_model_arg(args.model)
-    if args.points < 2:
-        print("error: --points must be >= 2", file=sys.stderr)
-        return EXIT_USAGE
-    if args.zmin >= args.zmax:
-        print("error: need --zmin < --zmax", file=sys.stderr)
-        return EXIT_USAGE
-    eta = args.eta if args.eta is not None else max(
-        1e-9, (args.zmax - args.zmin) / (10.0 * args.points))
     params = {"zmin": args.zmin, "zmax": args.zmax,
-              "points": args.points, "eta": eta}
+              "points": args.points, "eta": args.eta}
     return _run_density(model, spec, params, Path(args.out),
                         Path(args.svg) if args.svg else None)
 
 
 def _cmd_empirical(args) -> int:
     model, spec = _load_model_arg(args.model)
-    if args.reps < 1:
-        print("error: --reps must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
-    if args.bins < 1:
-        print("error: --bins must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
-    lo, hi = analytic.band_edges(model)
     params = {"n": args.n, "reps": args.reps, "bins": args.bins,
-              "seed": args.seed, "kind": args.kind,
-              "range": [lo - 2.0, hi + 2.0]}
+              "seed": args.seed, "kind": args.kind}
     return _run_empirical(model, spec, params, Path(args.out),
                           Path(args.svg) if args.svg else None,
                           Path(args.dump) if args.dump else None)
@@ -232,14 +214,17 @@ def _cmd_hub(args) -> int:
     model, spec = _load_model_arg(args.model)
     if args.sweep:
         try:
-            lo, hi, steps = (float(p) for p in args.sweep.split(":"))
+            lo, hi, steps = args.sweep.split(":")
+            lo, hi, steps = float(lo), float(hi), int(steps)
         except ValueError:
+            steps = 0  # malformed: reported with a step count below 1
+        if steps < 1:
             print("error: --sweep expects lo:hi:steps", file=sys.stderr)
             return EXIT_USAGE
         if not args.out:
             print("error: --sweep requires --out", file=sys.stderr)
             return EXIT_USAGE
-        params = {"sweep": [lo, hi, int(steps)], "empirical": args.empirical,
+        params = {"sweep": [lo, hi, steps], "empirical": args.empirical,
                   "n": args.n, "reps": args.reps, "seed": args.seed}
         return _run_hub_sweep(model, spec, params, Path(args.out))
 
@@ -250,7 +235,7 @@ def _cmd_hub(args) -> int:
     print(f"k_critical = {pred.k_critical:.9g}")
     if pred.exists:
         print(f"z_plus  = {pred.z_plus:.9g}")
-        print(f"z_minus = {pred.z_minus:.9g}")
+        print(f"z_minus = {-pred.z_plus:.9g}")
         print(f"vn_sq = {pred.vn_sq:.6g}")
         print(f"neighbor vi_sq = {pred.neighbor_vi_sq_mean:.6g}")
     else:

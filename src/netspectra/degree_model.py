@@ -9,7 +9,7 @@ values.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -192,16 +192,6 @@ class DegreeModel:
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_spec(json.load(fh))
 
-    @classmethod
-    def _from_nodes(cls, degrees: np.ndarray, weights: np.ndarray, kind: str,
-                    support: tuple[float, float] | None, quad_nodes: int,
-                    n_atoms: int) -> "DegreeModel":
-        # internal: rebuild a derived model (e.g. excess distribution) from
-        # already-validated node arrays
-        return cls(degrees=_as_readonly(degrees), weights=_as_readonly(weights),
-                   kind=kind, support=support, quad_nodes=quad_nodes,
-                   n_atoms=n_atoms)
-
     # ------------------------------------------------------------- derived
 
     @property
@@ -226,22 +216,21 @@ class DegreeModel:
         result is renormalized exactly.
         """
         w = self.weights * self.degrees
-        w = w / w.sum()
-        return DegreeModel._from_nodes(self.degrees, w, self.kind,
-                                       self.support, self.quad_nodes,
-                                       self.n_atoms)
+        return replace(self, weights=_as_readonly(w / w.sum()))
 
     def cauchy_transform(self, z: complex) -> complex:
         """Cauchy transform of k p(k): sum_r w_r d_r / (z - d_r).
 
-        Real z must keep clear of every node; within a relative 1e-14 of a
-        node the sum is dominated by roundoff and a PoleError is raised.
+        Real z is summed in real arithmetic and returns a float.  It must
+        keep clear of every node; within a relative 1e-14 of a node the sum
+        is dominated by roundoff and a PoleError is raised.
         """
         z = complex(z)
         if z.imag == 0.0:
-            gap = np.abs(z.real - self.degrees)
-            if np.any(gap < 1e-14 * self.degrees):
+            gap = z.real - self.degrees
+            if np.any(np.abs(gap) < 1e-14 * self.degrees):
                 raise PoleError(f"z={z.real!r} coincides with a degree node")
+            return float(np.sum(self.weights * self.degrees / gap))
         return complex(np.sum(self.weights * self.degrees / (z - self.degrees)))
 
     def sample_degrees(self, n: int, seed: int) -> "DegreeSequence":

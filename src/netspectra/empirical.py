@@ -52,14 +52,13 @@ class EigenReport:
 
     eigenvalues: np.ndarray
     kind: str
-    residual: float
-    top_vector: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
 class EnsembleHistogram:
     """Pooled eigenvalue histogram, density normalized over its bins."""
 
+    eigenvalues: np.ndarray  # every pooled eigenvalue, in replicate order
     bin_edges: np.ndarray
     density: np.ndarray
     replicates: int
@@ -67,14 +66,13 @@ class EnsembleHistogram:
     base_seed: int
 
 
-def dense_symmetric_eigen(matrix: np.ndarray, kind: str = "modularity",
-                          want_vector: bool = False) -> EigenReport:
+def dense_symmetric_eigen(matrix: np.ndarray,
+                          kind: str = "modularity") -> EigenReport:
     """Full spectrum of a dense symmetric matrix.
 
     Validates symmetry on entry and the trace / Frobenius identities of the
-    returned eigenvalues to a relative 1e-8.  With want_vector=True the
-    eigenvector of the largest eigenvalue is attached and its residual
-    max|Mv - lambda v| recorded.
+    returned eigenvalues to a relative 1e-8.  The top eigenpair alone comes
+    from `top_eigenpair`.
     """
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -88,15 +86,7 @@ def dense_symmetric_eigen(matrix: np.ndarray, kind: str = "modularity",
     if kind not in MATRIX_KINDS:
         raise ValueError(f"kind must be one of {MATRIX_KINDS}")
 
-    residual = 0.0
-    top = None
-    if want_vector:
-        vals, vecs = np.linalg.eigh(m)
-        top = np.ascontiguousarray(vecs[:, -1])
-        residual = float(np.abs(m @ top - vals[-1] * top).max())
-    else:
-        vals = np.linalg.eigvalsh(m)
-
+    vals = np.linalg.eigvalsh(m)
     tr, fro2 = float(np.trace(m)), float(np.vdot(m, m))
     ref = max(1.0, abs(tr), float(np.sum(np.abs(vals))))
     if abs(vals.sum() - tr) > 1e-8 * ref:
@@ -105,8 +95,7 @@ def dense_symmetric_eigen(matrix: np.ndarray, kind: str = "modularity",
     if abs(np.sum(vals * vals) - fro2) > 1e-8 * ref2:
         raise InternalConsistencyError(
             "eigenvalue square sum disagrees with Frobenius norm")
-    return EigenReport(eigenvalues=vals, kind=kind, residual=residual,
-                       top_vector=top)
+    return EigenReport(eigenvalues=vals, kind=kind)
 
 
 def top_eigenpair(matvec: Callable[[np.ndarray], np.ndarray], n: int,
@@ -201,7 +190,8 @@ def empirical_density(model: DegreeModel, n: int, replicates: int, bins: int,
 
     The default range pads the model's analytic band edges by 2 on both
     sides; eigenvalues outside the range (e.g. the detached adjacency
-    leading eigenvalue) do not enter the normalization.
+    leading eigenvalue) do not enter the normalization but stay in the
+    returned `eigenvalues`.
     """
     if bins < 1:
         raise ValueError("bins must be >= 1")
@@ -216,8 +206,8 @@ def empirical_density(model: DegreeModel, n: int, replicates: int, bins: int,
         raise ValueError("no eigenvalues fell inside the histogram range")
     width = edges[1] - edges[0]
     density = counts / (total * width)
-    return EnsembleHistogram(bin_edges=edges, density=density,
-                             replicates=replicates, n=n,
+    return EnsembleHistogram(eigenvalues=values, bin_edges=edges,
+                             density=density, replicates=replicates, n=n,
                              base_seed=int(base_seed))
 
 

@@ -159,11 +159,8 @@ def attach_hub(degrees: DegreeSequence, k_n: float) -> DegreeSequence:
 def densify_modularity(view: ModularityView) -> np.ndarray:
     """Dense symmetric matrix A - k k^T / 2m (n capped by dense_cap)."""
     net = view.network
-    if net.n > dense_cap():
-        raise DenseCapError(f"n={net.n} exceeds the dense cap {dense_cap()}")
     k = net.degrees.k
-    b = net.adjacency_dense() - np.outer(k, k) / net.two_m_expected
-    return b
+    return net.adjacency_dense() - np.outer(k, k) / net.two_m_expected
 
 
 def write_edge_list(net: SampledNetwork, path: str | Path) -> None:

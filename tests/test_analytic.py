@@ -380,7 +380,6 @@ def test_hub_poisson_top(poisson100):
     pred = hub_eigenvalues(poisson100, 400.0)
     assert pred.exists
     assert pred.z_plus == pytest.approx(400.0 / np.sqrt(300.0), rel=1e-12)
-    assert pred.z_minus == -pred.z_plus
     assert pred.z_plus >= band_edges(poisson100)[1]
 
 
@@ -388,7 +387,7 @@ def test_hub_critical_poisson(poisson100):
     assert hub_critical_degree(poisson100) == pytest.approx(200.0, abs=1e-6)
     pred = hub_eigenvalues(poisson100, 150.0)
     assert not pred.exists
-    assert pred.z_plus is None and pred.z_minus is None
+    assert pred.z_plus is None
     assert pred.k_critical == pytest.approx(200.0, abs=1e-6)
 
 

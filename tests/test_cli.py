@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from netspectra import DegreeModel, band_edges
 from netspectra.cli import EXIT_ABSENT, EXIT_OK, EXIT_USAGE, RunManifest, run
 
 
@@ -48,6 +49,9 @@ def test_density_rerun_is_byte_identical(tmp_path, two_degree_file):
         assert run(["density", str(two_degree_file), "--zmin", "-25",
                     "--zmax", "25", "--points", "201", "--out", str(out)]) == EXIT_OK
     assert out1.read_bytes() == out2.read_bytes()
+    manifest = json.loads((tmp_path / "a.csv.manifest.json").read_text())
+    assert manifest["params"]["eta"] is not None
+    assert manifest["params"]["eta"] == max(1e-9, 50 / (10 * 201))
 
 
 def test_density_usage_errors(tmp_path, poisson_file):
@@ -78,6 +82,9 @@ def test_empirical_csv_and_l1(tmp_path, poisson_file, capsys):
     assert len(dump) == 601
     sidecar = json.loads((tmp_path / "eigs.csv.manifest.json").read_text())
     assert sidecar["replicates"] == 2
+    manifest = json.loads((tmp_path / "hist.csv.manifest.json").read_text())
+    lo, hi = band_edges(DegreeModel.from_file(poisson_file))
+    assert manifest["params"]["range"] == [lo - 2.0, hi + 2.0]
 
 
 def test_empirical_usage_errors(tmp_path, poisson_file):
@@ -124,6 +131,7 @@ def test_hub_report_and_exit_codes(poisson_file, capsys):
     out = capsys.readouterr().out
     assert "k_critical = 200" in out
     assert "23.0940108" in out
+    assert "z_minus = -23.0940108" in out
     assert run(["hub", str(poisson_file), "--kn", "150"]) == EXIT_ABSENT
     out = capsys.readouterr().out
     assert "inside band" in out
@@ -149,6 +157,16 @@ def test_hub_sweep_csv(tmp_path, poisson_file):
     assert float(last[2]) == pytest.approx(20.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("steps", ["0", "2.7"])
+def test_hub_sweep_bad_steps_is_usage_error(tmp_path, poisson_file, capsys,
+                                            steps):
+    out = tmp_path / "sweep.csv"
+    assert run(["hub", str(poisson_file), "--sweep", f"110:400:{steps}",
+                "--out", str(out)]) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: --sweep expects lo:hi:steps\n"
+    assert not out.exists()
+
+
 def test_replay_density_byte_identical(tmp_path, two_degree_file):
     out = tmp_path / "curve.csv"
     assert run(["density", str(two_degree_file), "--zmin", "-22", "--zmax", "22",
@@ -167,6 +185,23 @@ def test_replay_empirical_byte_identical(tmp_path, poisson_file):
     assert run(["replay", str(tmp_path / "hist.csv.manifest.json"),
                 "--outdir", str(rep)]) == EXIT_OK
     assert (rep / "hist.csv").read_bytes() == out.read_bytes()
+
+
+def test_replay_empirical_empty_range_is_usage_error(tmp_path, poisson_file,
+                                                     capsys):
+    out = tmp_path / "hist.csv"
+    assert run(["empirical", str(poisson_file), "--n", "60", "--reps", "1",
+                "--bins", "5", "--out", str(out)]) == EXIT_OK
+    path = tmp_path / "hist.csv.manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["params"]["range"] = [500.0, 501.0]
+    path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    rep = tmp_path / "replayed"
+    assert run(["replay", str(path), "--outdir", str(rep)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert not (rep / "hist.csv").exists()
 
 
 def test_missing_model_file_is_usage_error(tmp_path):
