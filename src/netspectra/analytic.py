@@ -31,6 +31,7 @@ from .errors import (
 
 NEWTON_TOL = 1e-14           # step size, relative to max(1, |h|), that ends a level
 NEWTON_MAX_STEPS = 40        # Newton steps per homotopy level
+LEVEL_RATIO = 8.0            # Im z is divided by this between homotopy levels
 BLOCK_ENTRIES = 2 ** 14      # points x nodes per batched block, bounds peak memory
 RESIDUAL_RTOL = 1e-10        # HSolution acceptance: residual < tol * max(1, |h|)
 DENSITY_FLOOR = -1e-9        # pre-clamp density may not dip below this
@@ -124,11 +125,13 @@ def _homotopy_newton(model: DegreeModel, z: np.ndarray) -> np.ndarray:
     """h at every point of z (Im z >= 0) by Newton steps along a vertical homotopy.
 
     Each point starts at Im = 10 max(sqrt(<d^2>), |z|, 1), where h = 1/z, and
-    halves Im z down to its target: Im z itself, or 1e-13 max(1, |Re z|)
-    followed by a final step onto the real axis.  At each level Newton steps
-    on f(h) = h - (1/c) sum w d / (z - d h) start from the previous level's
-    root; only points whose last step exceeded NEWTON_TOL max(1, |h|) take
-    another, up to NEWTON_MAX_STEPS.
+    divides Im z by LEVEL_RATIO per level down to its target: Im z itself,
+    or 1e-13 max(1, |Re z|) followed by a final step onto the real axis.  At
+    each level Newton steps on f(h) = h - (1/c) sum w d / (z - d h) start
+    from the previous level's root; only points whose last step exceeded
+    NEWTON_TOL max(1, |h|) take another, up to NEWTON_MAX_STEPS.  A solve's
+    cost is mostly per-level overhead, so the ratio is large: a grid at
+    Im z = 1e-6 takes 11 levels and about 40 Newton steps per point.
     """
     d = model.degrees
     wd = model.weights * d / model.mean_degree()
@@ -152,7 +155,7 @@ def _homotopy_newton(model: DegreeModel, z: np.ndarray) -> np.ndarray:
         h[todo] = hh
         level, t = im[todo], target[todo]
         done = level == goal[todo]
-        im[todo] = np.where(level > 1.5 * t, np.maximum(0.5 * level, t), goal[todo])
+        im[todo] = np.where(level > 1.5 * t, np.maximum(level / LEVEL_RATIO, t), goal[todo])
         todo = todo[~done]
     return h
 
@@ -432,6 +435,39 @@ def leading_eigenvalue_approx(model: DegreeModel) -> float:
 # hubs
 # --------------------------------------------------------------------------
 
+def _hub_pairs(model: DegreeModel, k_n: np.ndarray) -> tuple[float, np.ndarray]:
+    """Critical degree and z_plus at every hub degree of k_n (NaN below critical).
+
+    Each detached z = sqrt(k_n^2 G(k_n) / c) is checked against h(z) = z / k_n
+    by one batched cold solve of h at all of them.
+
+    Raises:
+        PoleError: some k_n does not exceed every degree in the model.
+        InternalConsistencyError: some z fails h(z) = z / k_n.
+    """
+    k_n = np.asarray(k_n, dtype=float)
+    k_max = model.max_degree
+    pole = k_n <= k_max * (1.0 + 1e-12)
+    if pole.any():
+        raise PoleError(
+            f"hub degree {float(k_n[pole][0])!r} must strictly exceed the "
+            f"maximum model degree {k_max!r}")
+    k_crit = hub_critical_degree(model)
+    up = k_n > k_crit
+    z_up = np.sqrt([_hub_zsq(model, float(k)) for k in k_n[up]])
+    h, _, _ = _solve_h_batch(model, z_up)
+    want = z_up / k_n[up]
+    bad = ~(np.abs(h - want) <= 1e-8 * np.maximum(1.0, np.abs(h)))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise InternalConsistencyError(
+            f"hub eigenvalue {float(z_up[i])!r} fails h(z) = z / k_n: "
+            f"h={complex(h[i])!r} vs {float(want[i])!r}")
+    z = np.full(k_n.shape, np.nan)
+    z[up] = z_up
+    return k_crit, z
+
+
 def hub_eigenvalues(model: DegreeModel, k_n: float) -> HubPrediction:
     """Detached eigenvalue pair produced by a hub of expected degree k_n.
 
@@ -443,20 +479,11 @@ def hub_eigenvalues(model: DegreeModel, k_n: float) -> HubPrediction:
         PoleError: k_n does not exceed every degree in the model.
     """
     k_n = float(k_n)
-    k_max = model.max_degree
-    if k_n <= k_max * (1.0 + 1e-12):
-        raise PoleError(
-            f"hub degree {k_n!r} must strictly exceed the maximum model degree {k_max!r}")
-    k_crit = hub_critical_degree(model)
-    if k_n <= k_crit:
+    k_crit, z_plus = _hub_pairs(model, np.array([k_n]))
+    if np.isnan(z_plus[0]):
         return HubPrediction(k_n=k_n, exists=False, z_plus=None,
                              k_critical=k_crit, vn_sq=0.0, neighbor_vi_sq_mean=0.0)
-    z = float(np.sqrt(_hub_zsq(model, k_n)))
-    sol = solve_h(model, complex(z))
-    if abs(sol.h - z / k_n) > 1e-8 * max(1.0, abs(sol.h)):
-        raise InternalConsistencyError(
-            f"hub eigenvalue {z!r} fails h(z) = z / k_n: "
-            f"h={sol.h!r} vs {z / k_n!r}")
+    z = float(z_plus[0])
     vn_sq, neighbor = _hub_localization(model, k_n, z)
     return HubPrediction(k_n=k_n, exists=True, z_plus=z,
                          k_critical=k_crit, vn_sq=vn_sq,

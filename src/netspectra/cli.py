@@ -28,6 +28,8 @@ EXIT_USAGE = 1
 EXIT_NUMERIC = 2
 EXIT_ABSENT = 3
 
+SWEEP_USAGE = "--sweep expects lo:hi:steps"
+
 
 @dataclass(frozen=True)
 class RunManifest:
@@ -144,12 +146,15 @@ def _run_empirical(model: DegreeModel, spec: dict, params: dict,
 def _run_hub_sweep(model: DegreeModel, spec: dict, params: dict,
                    out_csv: Path) -> int:
     lo, hi, steps = params["sweep"]
-    kns = np.linspace(lo, hi, int(steps))
+    # a replayed manifest's step count reaches here unchecked
+    if type(steps) is not int or steps < 1:
+        raise ValueError(SWEEP_USAGE)
+    kns = np.linspace(lo, hi, steps)
     edge = analytic.band_edges(model)[1]
+    _, z_plus = analytic._hub_pairs(model, kns)
     rows = []
-    for kn in kns:
-        pred = analytic.hub_eigenvalues(model, float(kn))
-        row = [float(kn), pred.z_plus if pred.exists else None, edge]
+    for kn, z in zip(kns, z_plus):
+        row = [float(kn), None if np.isnan(z) else float(z), edge]
         if params.get("empirical"):
             mean, stderr = empirical.ensemble_hub_top(
                 model, float(kn), params["n"], params["reps"], params["seed"])
@@ -217,10 +222,7 @@ def _cmd_hub(args) -> int:
             lo, hi, steps = args.sweep.split(":")
             lo, hi, steps = float(lo), float(hi), int(steps)
         except ValueError:
-            steps = 0  # malformed: reported with a step count below 1
-        if steps < 1:
-            print("error: --sweep expects lo:hi:steps", file=sys.stderr)
-            return EXIT_USAGE
+            raise ValueError(SWEEP_USAGE) from None
         if not args.out:
             print("error: --sweep requires --out", file=sys.stderr)
             return EXIT_USAGE

@@ -6,6 +6,7 @@ from scipy.integrate import quad
 
 from netspectra import (
     DegreeModel,
+    InternalConsistencyError,
     NoDetachedEigenvalueError,
     PoleError,
     band_edges,
@@ -21,6 +22,7 @@ from netspectra import (
     spectral_density,
     stieltjes_transform,
 )
+from netspectra import analytic
 from oracles import (
     central_difference,
     leading_root,
@@ -165,6 +167,37 @@ def test_density_grid_matches_pointwise_solve(two_degree_model):
             h = solve_h(model, z).h
             g = np.sum(model.weights / (z - model.degrees * h))
             assert abs(rho - max(0.0, -g.imag / np.pi)) < 1e-12
+
+
+def test_level_ratio_stress():
+    # the homotopy's level ratio on hard models: 2-12 atoms with degree
+    # ratios up to 1000:1, near the real axis and away from it.  Far outside
+    # the band at eta = 1e-9 every root is real to roundoff and the oracle
+    # cannot pick the one with Im h < 0, so the points stay within 1.2 band
+    # edges.
+    rng = np.random.default_rng(1000)
+    for _ in range(12):
+        n_atoms = int(rng.integers(2, 13))
+        lo = rng.uniform(1.0, 50.0)
+        degrees = np.sort(lo * 1000.0 ** rng.uniform(0.0, 1.0, size=n_atoms))
+        degrees += np.arange(n_atoms) * 1e-3
+        weights = rng.uniform(0.05, 1.0, size=n_atoms)
+        weights /= weights.sum()
+        model = DegreeModel.from_atoms(list(zip(degrees, weights)))
+        edge = band_edges(model)[1]
+        for eta in (1e-9, 1e-3):
+            z = rng.uniform(-1.2 * edge, 1.2 * edge, size=12) + 1j * eta
+            h, _, _ = analytic._solve_h_batch(model, z)
+            for zj, hj in zip(z, h):
+                assert abs(hj - physical_root(model.degrees, model.weights, zj)) < 1e-9
+    mixture = DegreeModel.from_spec(
+        {"atoms": [[30.0, 0.25]],
+         "continuous": {"kind": "uniform", "lo": 80.0, "hi": 120.0, "nodes": 256}})
+    edge = band_edges(mixture)[1]
+    curve = density_grid(mixture, -1.3 * edge, 1.3 * edge, 1501, eta=1e-9)
+    h, res, _ = analytic._solve_h_batch(mixture, curve.z + 1j * curve.eta)
+    assert np.all(res < analytic.RESIDUAL_RTOL * np.maximum(1.0, np.abs(h)))
+    assert curve.norm_defect < 5e-3
 
 
 # ---------------------------------------------------------------- density
@@ -408,6 +441,17 @@ def test_hub_consistency_with_h(poisson100, two_degree_model):
         pred = hub_eigenvalues(model, kn)
         h = solve_h(model, pred.z_plus).h
         assert h == pytest.approx(pred.z_plus / kn, abs=1e-8)
+
+
+def test_hub_check_fires_on_perturbed_candidate(monkeypatch, two_degree_model):
+    # a candidate z off by a relative 1e-6 must fail the batched cold check
+    zsq = analytic._hub_zsq
+    monkeypatch.setattr(analytic, "_hub_zsq",
+                        lambda model, k: zsq(model, k) * (1.0 + 1e-6) ** 2)
+    with pytest.raises(InternalConsistencyError):
+        analytic._hub_pairs(two_degree_model, np.linspace(101.0, 400.0, 30))
+    with pytest.raises(InternalConsistencyError):
+        hub_eigenvalues(two_degree_model, 300.0)
 
 
 def test_hub_localization_poisson(poisson100):

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from netspectra import DegreeModel, band_edges
+from netspectra import DegreeModel, band_edges, hub_eigenvalues
 from netspectra.cli import EXIT_ABSENT, EXIT_OK, EXIT_USAGE, RunManifest, run
 
 
@@ -165,6 +165,52 @@ def test_hub_sweep_bad_steps_is_usage_error(tmp_path, poisson_file, capsys,
                 "--out", str(out)]) == EXIT_USAGE
     assert capsys.readouterr().err == "error: --sweep expects lo:hi:steps\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("spec", [
+    {"atoms": [[50.0, 0.25], [100.0, 0.75]]},
+    {"atoms": [[30.0, 0.2], [60.0, 0.2], [90.0, 0.2], [120.0, 0.2], [150.0, 0.2]]},
+    {"continuous": {"kind": "uniform", "lo": 60.0, "hi": 140.0, "nodes": 64}},
+], ids=["two_degree", "five_atom", "uniform64"])
+def test_hub_sweep_matches_single_point(tmp_path, spec):
+    # the sweep's batched check must not change a single bit of z_plus
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(spec))
+    model = DegreeModel.from_spec(spec)
+    out = tmp_path / "sweep.csv"
+    sweep = f"{1.01 * model.max_degree!r}:{4.0 * model.max_degree!r}:30"
+    assert run(["hub", str(path), "--sweep", sweep, "--out", str(out)]) == EXIT_OK
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert len(rows) == 30
+    detached = 0
+    for kn, z_plus, _ in rows:
+        pred = hub_eigenvalues(model, float(kn))
+        if z_plus:
+            detached += 1
+            assert float(z_plus) == pred.z_plus
+        else:
+            assert not pred.exists
+    assert 0 < detached < 30
+
+
+def test_replay_hub_sweep(tmp_path, poisson_file, capsys):
+    out = tmp_path / "sweep.csv"
+    assert run(["hub", str(poisson_file), "--sweep", "110:400:3",
+                "--out", str(out)]) == EXIT_OK
+    path = tmp_path / "sweep.csv.manifest.json"
+    assert run(["replay", str(path), "--outdir", str(tmp_path / "a")]) == EXIT_OK
+    assert (tmp_path / "a" / "sweep.csv").read_bytes() == out.read_bytes()
+    # an edited step count cannot get past the check that --sweep has
+    for steps in (0, 2.7):
+        manifest = json.loads(path.read_text())
+        manifest["params"]["sweep"] = [110.0, 400.0, steps]
+        path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        rep = tmp_path / f"replayed-{steps}"
+        assert run(["replay", str(path), "--outdir", str(rep)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == "error: --sweep expects lo:hi:steps\n"
+        assert not (rep / "sweep.csv").exists()
 
 
 def test_replay_density_byte_identical(tmp_path, two_degree_file):
