@@ -59,5 +59,4 @@ from .errors import (
     NetspectraError,
     NoDetachedEigenvalueError,
     PoleError,
-    StagnationError,
 )

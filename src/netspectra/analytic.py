@@ -170,8 +170,9 @@ def _finish(model: DegreeModel, z: np.ndarray, h: np.ndarray,
 
     Raises:
         ConvergenceError: a residual is not below RESIDUAL_RTOL * max(1, |h|).
-        InternalConsistencyError: a point with Im z > 0 has density below
-            DENSITY_FLOOR.
+        InternalConsistencyError: a point with Im z > 0 is on a non-physical
+            branch: Im h above RESIDUAL_RTOL * max(1, |h|) (the physical
+            root has Im h < 0) or density below DENSITY_FLOOR.
     """
     d, w = model.degrees, model.weights
     q = 1.0 / (z[:, None] - np.multiply.outer(h, d))
@@ -182,13 +183,14 @@ def _finish(model: DegreeModel, z: np.ndarray, h: np.ndarray,
         i = int(np.argmax(bad))
         raise ConvergenceError(
             f"solve for h stalled at z={complex(z[i])!r}: residual {res[i]:.3e} "
-            f"via {method}", residual=float(res[i]), method=method)
-    low = (z.imag > 0.0) & (rho < DENSITY_FLOOR)
-    if low.any():
-        i = int(np.argmax(low))
+            f"via {method}")
+    upper = h.imag > RESIDUAL_RTOL * np.maximum(1.0, np.abs(h))
+    wrong = (z.imag > 0.0) & (upper | (rho < DENSITY_FLOOR))
+    if wrong.any():
+        i = int(np.argmax(wrong))
         raise InternalConsistencyError(
-            f"selected branch at z={complex(z[i])!r} induces negative density "
-            f"{rho[i]:.3e}")
+            f"non-physical branch at z={complex(z[i])!r}: h={complex(h[i])!r}, "
+            f"density {rho[i]:.3e}")
     return res, rho
 
 

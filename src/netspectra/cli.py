@@ -244,12 +244,10 @@ def _cmd_hub(args) -> int:
         print(f"hub degree {args.kn:g}: inside band "
               f"(band edge {analytic.band_edges(model)[1]:.6g})")
     if args.empirical:
-        mean, stderr = empirical.ensemble_hub_top(
+        mean, stderr, vn, nb, blk = empirical._hub_ensemble(
             model, args.kn, args.n, args.reps, args.seed)
         print(f"ensemble top modularity eigenvalue: {mean:.6g} +/- {stderr:.3g}")
         if pred.exists:
-            vn, nb, blk = empirical.ensemble_hub_localization(
-                model, args.kn, args.n, args.reps, args.seed)
             print(f"measured vn_sq = {vn:.6g}")
             print(f"measured neighbor mean square = {nb:.6g}")
             print(f"measured bulk mean square = {blk:.3g}")

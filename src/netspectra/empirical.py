@@ -6,7 +6,9 @@ and used only where every eigenvalue is read (pooled spectra).  Ensembles
 that read only the top of the spectrum get the top eigenpair at every size,
 computed matrix-free by ARPACK's implicitly restarted Lanczos (scipy's
 eigsh, asked for the algebraically largest eigenvalue) and accepted only on
-its true residual.
+its true residual.  A hub ensemble reads the top eigenvalue and the hub
+localization from the same eigenpair, so `hub --empirical` samples and
+solves each replicate once.
 
 Replicate r of an ensemble uses the seed splitmix64(base_seed + (r+1) * GOLDEN)
 with the published constants below, so replicates are independent,
@@ -22,7 +24,7 @@ import numpy as np
 
 from . import analytic
 from .degree_model import DegreeModel
-from .errors import DenseCapError, InternalConsistencyError, StagnationError
+from .errors import ConvergenceError, DenseCapError, InternalConsistencyError
 from .sampler import (SampledNetwork, attach_hub, densify_modularity,
                       dense_cap, sample_network)
 
@@ -112,7 +114,7 @@ def top_eigenpair(matvec: Callable[[np.ndarray], np.ndarray], n: int,
     network) gives (0.0, the normalized start vector).
 
     Raises:
-        StagnationError: ARPACK does not converge or fails, or its answer
+        ConvergenceError: ARPACK does not converge or fails, or its answer
             misses the residual bound above (the tolerance is finer than
             the operator's eigenvalues can be resolved in floating point).
     """
@@ -134,15 +136,15 @@ def top_eigenpair(matvec: Callable[[np.ndarray], np.ndarray], n: int,
                            k=1, which="LA", v0=v0, tol=tol)
         lam, vec = float(vals[0]), vecs[:, 0]
     except ArpackNoConvergence as exc:
-        raise StagnationError(f"top eigenpair did not converge: {exc}") from exc
+        raise ConvergenceError(f"top eigenpair did not converge: {exc}") from exc
     except ArpackError:
         # ARPACK rejects the zero operator (an edgeless network's adjacency),
         # of which the start vector is an eigenvector; the residual check
-        # below turns any other ARPACK failure into a StagnationError
+        # below turns any other ARPACK failure into a ConvergenceError
         lam, vec = 0.0, v0 / np.linalg.norm(v0)
     res = float(np.linalg.norm(matvec(vec) - lam * vec))
     if res > tol * max(abs(lam), 1e-12):
-        raise StagnationError(
+        raise ConvergenceError(
             f"top eigenpair stalled: residual {res:.3e} above tol {tol:g} "
             f"at eigenvalue {lam:.6g}")
     if vec[np.argmax(np.abs(vec))] < 0:
@@ -154,10 +156,14 @@ def top_eigenpair(matvec: Callable[[np.ndarray], np.ndarray], n: int,
 # ensembles
 # --------------------------------------------------------------------------
 
-def _replicate_network(model: DegreeModel, n: int, base_seed: int,
-                       r: int) -> SampledNetwork:
+def _replicate_network(model: DegreeModel, n: int, base_seed: int, r: int,
+                       k_n: float | None = None) -> SampledNetwork:
+    """Replicate r: n degrees from the model, plus a hub of expected degree
+    k_n as the last vertex when k_n is given."""
     seed_r = replicate_seed(base_seed, r)
     seq = model.sample_degrees(n, seed_r)
+    if k_n is not None:
+        seq = attach_hub(seq, k_n)
     return sample_network(seq, replicate_seed(seed_r, 1))
 
 
@@ -211,13 +217,13 @@ def empirical_density(model: DegreeModel, n: int, replicates: int, bins: int,
                              base_seed=int(base_seed))
 
 
-def _top_eigenvalue(net: SampledNetwork, kind: str) -> float:
-    """Largest eigenvalue of one realization's matrix, computed matrix-free."""
+def _top_pair(net: SampledNetwork, kind: str) -> tuple[float, np.ndarray]:
+    """Top eigenpair of one realization's matrix, computed matrix-free."""
     if kind == "adjacency":
         adj = net.adjacency_sparse()
-        return top_eigenpair(lambda x: adj @ x, net.n, tol=1e-8)[0]
+        return top_eigenpair(lambda x: adj @ x, net.n, tol=1e-8)
     if kind == "modularity":
-        return top_eigenpair(net.modularity_view().matvec, net.n, tol=1e-6)[0]
+        return top_eigenpair(net.modularity_view().matvec, net.n, tol=1e-6)
     raise ValueError(f"kind must be one of {MATRIX_KINDS}")
 
 
@@ -234,52 +240,43 @@ def ensemble_leading(model: DegreeModel, n: int, replicates: int,
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
     return _mean_stderr(np.array([
-        _top_eigenvalue(_replicate_network(model, n, base_seed, r), kind)
+        _top_pair(_replicate_network(model, n, base_seed, r), kind)[0]
         for r in range(replicates)]))
+
+
+def _hub_ensemble(model: DegreeModel, k_n: float, n: int, replicates: int,
+                  base_seed: int) -> tuple[float, float, float, float, float]:
+    """One pass over the hub replicates: the mean and standard error of the
+    top modularity eigenvalue, then the replicate means of `hub_vector_stats`,
+    all read from one matrix-free top eigenpair per replicate (n background
+    degrees from the model, plus a last vertex of expected degree k_n)."""
+    if replicates < 1:
+        raise ValueError("replicates must be >= 1")
+    tops, acc = np.empty(replicates), np.zeros(3)
+    for r in range(replicates):
+        net = _replicate_network(model, n, base_seed, r, k_n)
+        tops[r], vec = _top_pair(net, "modularity")
+        acc += np.array(_vector_stats(net, vec, net.n - 1))
+    return (*_mean_stderr(tops), *(acc / replicates).tolist())
 
 
 def ensemble_hub_top(model: DegreeModel, k_n: float, n: int, replicates: int,
                      base_seed: int) -> tuple[float, float]:
-    """Mean/stderr of the top modularity eigenvalue with one attached hub.
-
-    Each replicate samples n background degrees from the model, appends one
-    vertex of expected degree k_n, and measures the largest eigenvalue of the
-    modularity matrix with the matrix-free top eigenpair, at every size.
-    """
-    if replicates < 1:
-        raise ValueError("replicates must be >= 1")
-    return _mean_stderr(np.array([
-        _top_eigenvalue(_hub_network(model, k_n, n, base_seed, r), "modularity")
-        for r in range(replicates)]))
+    """Mean/stderr of the top modularity eigenvalue with one attached hub
+    (the first two values of the hub pass)."""
+    return _hub_ensemble(model, k_n, n, replicates, base_seed)[:2]
 
 
 def ensemble_hub_localization(model: DegreeModel, k_n: float, n: int,
                               replicates: int, base_seed: int,
                               ) -> tuple[float, float, float]:
-    """Replicate-averaged hub_vector_stats for one attached hub."""
-    if replicates < 1:
-        raise ValueError("replicates must be >= 1")
-    acc = np.zeros(3)
-    for r in range(replicates):
-        net = _hub_network(model, k_n, n, base_seed, r)
-        acc += np.array(hub_vector_stats(net, hub_index=net.n - 1))
-    out = acc / replicates
-    return float(out[0]), float(out[1]), float(out[2])
+    """Replicate-averaged hub_vector_stats for one attached hub (the last
+    three values of the hub pass)."""
+    return _hub_ensemble(model, k_n, n, replicates, base_seed)[2:]
 
 
-def _hub_network(model: DegreeModel, k_n: float, n: int, base_seed: int,
-                 r: int) -> SampledNetwork:
-    seed_r = replicate_seed(base_seed, r)
-    seq = attach_hub(model.sample_degrees(n, seed_r), k_n)
-    return sample_network(seq, replicate_seed(seed_r, 1))
-
-
-def hub_vector_stats(network: SampledNetwork, hub_index: int,
-                     tol: float = 1e-6) -> tuple[float, float, float]:
-    """Square of the top modularity eigenvector at the hub, its realized
-    neighbors (averaged), and everyone else (averaged)."""
-    view = network.modularity_view()
-    _, vec = top_eigenpair(view.matvec, network.n, tol=tol)
+def _vector_stats(network: SampledNetwork, vec: np.ndarray,
+                  hub_index: int) -> tuple[float, float, float]:
     vn_sq = float(vec[hub_index] ** 2)
     nbrs = network.neighbors_of(hub_index)
     neighbor_mean = float(np.mean(vec[nbrs] ** 2)) if nbrs.size else 0.0
@@ -288,6 +285,14 @@ def hub_vector_stats(network: SampledNetwork, hub_index: int,
     mask[nbrs] = False
     bulk_mean = float(np.mean(vec[mask] ** 2)) if mask.any() else 0.0
     return vn_sq, neighbor_mean, bulk_mean
+
+
+def hub_vector_stats(network: SampledNetwork,
+                     hub_index: int) -> tuple[float, float, float]:
+    """Square of the top modularity eigenvector at the hub, its realized
+    neighbors (averaged), and everyone else (averaged)."""
+    return _vector_stats(network, _top_pair(network, "modularity")[1],
+                         hub_index)
 
 
 # --------------------------------------------------------------------------

@@ -14,13 +14,9 @@ class PoleError(NetspectraError, ValueError):
 
 
 class ConvergenceError(NetspectraError, RuntimeError):
-    """An iterative solve failed to reach its residual tolerance."""
-
-    def __init__(self, message: str, residual: float = float("nan"),
-                 method: str = "unknown"):
-        super().__init__(message)
-        self.residual = residual
-        self.method = method
+    """An iterative solve missed its residual bound: the self-consistency
+    solve for h(z), or the top eigenpair (e.g. at a tolerance finer than the
+    pair can be resolved in floating point)."""
 
 
 class NoDetachedEigenvalueError(NetspectraError, RuntimeError):
@@ -33,11 +29,6 @@ class DenseCapError(NetspectraError, ValueError):
 
 class MeanOverflowError(NetspectraError, ValueError):
     """A pairwise edge-count mean is pathologically large for the size."""
-
-
-class StagnationError(NetspectraError, RuntimeError):
-    """Iterative eigensolver missed its residual bound (e.g. a tolerance finer
-    than the dominant pair can be resolved in floating point)."""
 
 
 class InternalConsistencyError(NetspectraError, RuntimeError):

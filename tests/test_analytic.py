@@ -125,6 +125,22 @@ def test_h_two_degree_satisfies_cubic(two_degree_model):
         assert abs(val) < 1e-10 * max(1.0, abs(z) ** 2)
 
 
+def test_finish_rejects_root_with_positive_imaginary_part(two_degree_model):
+    # at z = -5 + 0.1i the cubic above has a root h ~ -0.090536 + 0.001911i
+    # whose residual (~1e-15) and density (+2.6e-4) pass; only Im h > 0
+    # marks it as the non-physical branch
+    z = complex(-5.0, 0.1)
+    d1, d2, c = 50.0, 100.0, 87.5
+    roots = np.roots([d1 * d2, -(d1 + d2) * z, d1 * d2 / c + z * z, -z])
+    wrong = roots[np.argmin(np.abs(roots - complex(-0.090536, 0.001911)))]
+    d, w = two_degree_model.degrees, two_degree_model.weights
+    assert abs(wrong - np.sum(w * d / (z - d * wrong)) / c) < 1e-14
+    assert wrong.imag > 0.0
+    with pytest.raises(InternalConsistencyError):
+        analytic._finish(two_degree_model, np.array([z]), np.array([wrong]),
+                         "homotopy-newton")
+
+
 def test_h_matches_physical_root_oracle():
     # 2-12 atoms with degree ratios up to 100:1 against the unique root with
     # Im h < 0 of the cleared polynomial

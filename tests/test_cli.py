@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from netspectra import DegreeModel, band_edges, hub_eigenvalues
+from netspectra import (DegreeModel, band_edges, ensemble_hub_localization,
+                        ensemble_hub_top, hub_eigenvalues)
 from netspectra.cli import EXIT_ABSENT, EXIT_OK, EXIT_USAGE, RunManifest, run
 
 
@@ -135,6 +136,19 @@ def test_hub_report_and_exit_codes(poisson_file, capsys):
     assert run(["hub", str(poisson_file), "--kn", "150"]) == EXIT_ABSENT
     out = capsys.readouterr().out
     assert "inside band" in out
+
+
+def test_hub_empirical_report_matches_library(poisson_file, capsys):
+    code = run(["hub", str(poisson_file), "--kn", "400", "--empirical",
+                "--n", "300", "--reps", "3", "--seed", "5"])
+    assert code == EXIT_OK
+    out = capsys.readouterr().out
+    args = (DegreeModel.poisson(100.0), 400.0, 300, 3, 5)
+    mean, stderr = ensemble_hub_top(*args)
+    vn, _, _ = ensemble_hub_localization(*args)
+    assert (f"ensemble top modularity eigenvalue: {mean:.6g} +/- {stderr:.3g}"
+            in out)
+    assert f"measured vn_sq = {vn:.6g}\n" in out
 
 
 def test_hub_pole_is_numeric_failure(poisson_file, capsys):

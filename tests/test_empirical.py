@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from netspectra import (
+    ConvergenceError,
     DegreeModel,
     InternalConsistencyError,
-    StagnationError,
     attach_hub,
     dense_symmetric_eigen,
     densify_modularity,
     empirical_density,
+    ensemble_hub_localization,
     ensemble_hub_top,
     ensemble_leading,
     hub_vector_stats,
@@ -22,8 +23,8 @@ from netspectra import (
     write_eigenvalue_dump,
     write_histogram_csv,
 )
-from netspectra.empirical import (_dense_matrix, _hub_network,
-                                  _replicate_network, _top_eigenvalue)
+from netspectra.empirical import (_dense_matrix, _hub_ensemble,
+                                  _replicate_network, _top_pair)
 from oracles import jacobi_eigenvalues
 
 
@@ -116,7 +117,7 @@ def test_top_eigenpair_stagnates_when_tol_unreachable():
     # a tight cluster leaves the residual floor above an extreme tolerance
     d = np.linspace(1.0 - 1e-9, 1.0, 400)
     mv = lambda x: d * x
-    with pytest.raises(StagnationError):
+    with pytest.raises(ConvergenceError):
         top_eigenpair(mv, d.size, tol=1e-16)
 
 
@@ -173,7 +174,7 @@ def test_top_eigenpair_arpack_failure_is_stagnation(monkeypatch, failure):
         raise sla.ArpackError(-8)
 
     monkeypatch.setattr(sla, "eigsh", failing_eigsh)
-    with pytest.raises(StagnationError):
+    with pytest.raises(ConvergenceError):
         top_eigenpair(lambda x: 2.0 * x, 10, tol=1e-8)
 
 
@@ -241,10 +242,38 @@ def test_ensemble_top_matches_dense_reference(case, poisson100,
             net, kind = _replicate_network(two_degree_model, 300, 41, r), "adjacency"
         else:
             k_n = 400.0 if case == "hub_above" else 120.0
-            net, kind = _hub_network(poisson100, k_n, 300, 42, r), "modularity"
+            net, kind = _replicate_network(poisson100, 300, 42, r, k_n), "modularity"
         dense_top = dense_symmetric_eigen(
             _dense_matrix(net, kind), kind).eigenvalues[-1]
-        assert abs(_top_eigenvalue(net, kind) - dense_top) <= 1e-8
+        assert abs(_top_pair(net, kind)[0] - dense_top) <= 1e-8
+
+
+def test_replicate_network_with_hub_matches_public_construction(poisson100):
+    for r in range(3):
+        seed_r = replicate_seed(42, r)
+        want = sample_network(
+            attach_hub(poisson100.sample_degrees(300, seed_r), 400.0),
+            replicate_seed(seed_r, 1))
+        got = _replicate_network(poisson100, 300, 42, r, 400.0)
+        assert np.array_equal(got.degrees.k, want.degrees.k)
+        for field in ("edge_i", "edge_j", "edge_mult"):
+            assert np.array_equal(getattr(got, field), getattr(want, field))
+
+
+def test_hub_pass_is_both_hub_ensembles(poisson100):
+    # the one pass returns exactly what the two public ensembles return, and
+    # both equal a replicate loop over the public per-network functions
+    args = (poisson100, 400.0, 300, 3, 42)
+    both = (*ensemble_hub_top(*args), *ensemble_hub_localization(*args))
+    assert _hub_ensemble(*args) == both
+    tops, acc = [], np.zeros(3)
+    for r in range(3):
+        net = _replicate_network(poisson100, 300, 42, r, 400.0)
+        tops.append(top_eigenpair(net.modularity_view().matvec, net.n,
+                                  tol=1e-6)[0])
+        acc += np.array(hub_vector_stats(net, hub_index=net.n - 1))
+    tops = np.array(tops)
+    assert both == (tops.mean(), tops.std(ddof=1) / np.sqrt(3), *(acc / 3))
 
 
 def test_hub_vector_stats_single_network(poisson100):
