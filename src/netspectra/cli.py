@@ -1,8 +1,11 @@
 """Command-line front end.
 
-Subcommands: density, empirical, leading, hub, replay.  Every file-writing
-run drops a JSON manifest next to its primary output; `replay` re-runs a
-manifest into a fresh directory and reproduces the same bytes.
+Subcommands: density, empirical, leading, hub, replay.  Each file-writing
+command (density, empirical, hub --sweep) is one runner in `_RUNNERS`, and
+both its argparse entry and `replay` call that runner.  A run drops a JSON
+manifest next to its primary output that names each output file by its
+role; `replay` re-runs a manifest into a fresh directory, writes only
+inside it, and reproduces the same bytes.
 
 Exit codes: 0 success, 1 usage error, 2 numeric failure, 3 a well-defined
 quantity does not exist (e.g. no eigenvalue detached from the band).
@@ -12,7 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -28,32 +31,32 @@ EXIT_USAGE = 1
 EXIT_NUMERIC = 2
 EXIT_ABSENT = 3
 
-SWEEP_USAGE = "--sweep expects lo:hi:steps"
-
-
 @dataclass(frozen=True)
 class RunManifest:
-    """Everything needed to re-run one file-writing command."""
+    """Everything needed to re-run one file-writing command.
+
+    `outputs` maps each output role ("out", "svg", "dump") to a bare file
+    name.  The eigenvalue dump's sidecar, `<dump>.manifest.json`, is implied.
+    """
 
     command: str
     model: dict
     params: dict
     base_seed: int | None
     version: str
-    outputs: list[str] = field(default_factory=list)
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True, indent=2) + "\n"
+    outputs: dict[str, str]
 
     def write(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_json(), encoding="utf-8")
+        Path(path).write_text(json.dumps(asdict(self), sort_keys=True, indent=2)
+                              + "\n", encoding="utf-8")
 
     @classmethod
     def from_file(cls, path: str | Path) -> "RunManifest":
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-        return cls(command=data["command"], model=data["model"],
-                   params=data["params"], base_seed=data["base_seed"],
-                   version=data["version"], outputs=list(data["outputs"]))
+        manifest = cls(**json.loads(Path(path).read_text(encoding="utf-8")))
+        if not isinstance(manifest.outputs, dict):
+            raise ValueError("manifest outputs must map roles to file names "
+                             "(a list of names is the format before roles)")
+        return manifest
 
 
 class _Parser(argparse.ArgumentParser):
@@ -62,19 +65,13 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
-def _write_curve_csv(path: Path, z: np.ndarray, rho: np.ndarray) -> None:
+def _write_csv(path: Path, header: str, rows) -> None:
+    """One line per row; None becomes an empty field."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("z,rho\n")
-        for a, b in zip(z, rho):
-            fh.write(f"{_fmt(a)},{_fmt(b)}\n")
-
-
-def _manifest_path(out: Path) -> Path:
-    return out.with_name(out.name + ".manifest.json")
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join("" if v is None else repr(float(v)) for v in row)
+                     + "\n")
 
 
 def _load_model_arg(path: str) -> tuple[DegreeModel, dict]:
@@ -83,117 +80,109 @@ def _load_model_arg(path: str) -> tuple[DegreeModel, dict]:
     return DegreeModel.from_spec(spec), spec
 
 
+def _record(command: str, spec: dict, params: dict,
+            paths: dict[str, Path]) -> None:
+    out = paths["out"]
+    RunManifest(command=command, model=spec, params=params,
+                base_seed=params.get("seed"), version=__version__,
+                outputs={role: p.name for role, p in paths.items()},
+                ).write(out.with_name(out.name + ".manifest.json"))
+    print(f"wrote {out}")
+
+
 # --------------------------------------------------------------------------
-# command cores (shared between argparse entry and replay)
+# runners of the file-writing commands (shared by argparse entry and replay)
 # --------------------------------------------------------------------------
 
 def _run_density(model: DegreeModel, spec: dict, params: dict,
-                 out_csv: Path, out_svg: Path | None) -> int:
+                 paths: dict[str, Path]) -> int:
     curve = analytic.density_grid(model, params["zmin"], params["zmax"],
                                   params["points"], eta=params["eta"])
     params = {**params, "eta": curve.eta}  # the resolved eta, for replay
-    _write_curve_csv(out_csv, curve.z, curve.rho)
-    outputs = [out_csv.name]
-    if out_svg is not None:
-        render_svg(out_svg, curves=[(curve.z, curve.rho, "#d62728")],
+    _write_csv(paths["out"], "z,rho", zip(curve.z, curve.rho))
+    if "svg" in paths:
+        render_svg(paths["svg"], curves=[(curve.z, curve.rho, "#d62728")],
                    title="spectral density")
-        outputs.append(out_svg.name)
-    manifest = RunManifest(command="density", model=spec, params=params,
-                           base_seed=None, version=__version__,
-                           outputs=outputs)
-    manifest.write(_manifest_path(out_csv))
-    print(f"wrote {out_csv}")
+    _record("density", spec, params, paths)
     print(f"norm_defect = {curve.norm_defect:.6g}")
     print(f"band = ({curve.band[0]:.9g}, {curve.band[1]:.9g})")
     return EXIT_OK
 
 
 def _run_empirical(model: DegreeModel, spec: dict, params: dict,
-                   out_csv: Path, out_svg: Path | None,
-                   dump_csv: Path | None) -> int:
+                   paths: dict[str, Path]) -> int:
     hist = empirical.empirical_density(
         model, params["n"], params["reps"], params["bins"], params["seed"],
         params["kind"], bin_range=params.get("range"))
     # the resolved range, for replay
     params = {**params, "range": [float(hist.bin_edges[0]),
                                   float(hist.bin_edges[-1])]}
-    empirical.write_histogram_csv(hist, out_csv)
-    outputs = [out_csv.name]
-    if dump_csv is not None:
+    empirical.write_histogram_csv(hist, paths["out"])
+    if "dump" in paths:
         empirical.write_eigenvalue_dump(
-            hist.eigenvalues, dump_csv,
+            hist.eigenvalues, paths["dump"],
             manifest={"model": spec, "n": params["n"], "seed": params["seed"],
                       "kind": params["kind"], "replicates": params["reps"]})
-        outputs.extend([dump_csv.name, dump_csv.name + ".manifest.json"])
     l1 = empirical.l1_distance(hist, model)
-    if out_svg is not None:
+    if "svg" in paths:
         centers = 0.5 * (hist.bin_edges[1:] + hist.bin_edges[:-1])
         curve = analytic.density_grid(model, float(centers[0]), float(centers[-1]),
                                       centers.size, eta=1e-6)
-        render_svg(out_svg, curves=[(curve.z, curve.rho, "#d62728")],
+        render_svg(paths["svg"], curves=[(curve.z, curve.rho, "#d62728")],
                    steps=(hist.bin_edges, hist.density),
                    title="empirical vs analytic density")
-        outputs.append(out_svg.name)
-    manifest = RunManifest(command="empirical", model=spec, params=params,
-                           base_seed=params["seed"], version=__version__,
-                           outputs=outputs)
-    manifest.write(_manifest_path(out_csv))
-    print(f"wrote {out_csv}")
+    _record("empirical", spec, params, paths)
     print(f"L1 distance to analytic curve = {l1:.6g}")
     return EXIT_OK
 
 
 def _run_hub_sweep(model: DegreeModel, spec: dict, params: dict,
-                   out_csv: Path) -> int:
-    lo, hi, steps = params["sweep"]
-    # a replayed manifest's step count reaches here unchecked
-    if type(steps) is not int or steps < 1:
-        raise ValueError(SWEEP_USAGE)
-    kns = np.linspace(lo, hi, steps)
+                   paths: dict[str, Path]) -> int:
+    try:
+        lo, hi, steps = params["sweep"].split(":")
+        if int(steps) < 1:
+            raise ValueError
+        kns = np.linspace(float(lo), float(hi), int(steps))
+    except (AttributeError, ValueError):
+        raise ValueError("--sweep expects lo:hi:steps") from None
     edge = analytic.band_edges(model)[1]
     _, z_plus = analytic._hub_pairs(model, kns)
     rows = []
     for kn, z in zip(kns, z_plus):
-        row = [float(kn), None if np.isnan(z) else float(z), edge]
-        if params.get("empirical"):
-            mean, stderr = empirical.ensemble_hub_top(
-                model, float(kn), params["n"], params["reps"], params["seed"])
-            row.extend([mean, stderr])
+        row = [kn, None if np.isnan(z) else z, edge]
+        if params["empirical"]:
+            row.extend(empirical.ensemble_hub_top(
+                model, float(kn), params["n"], params["reps"], params["seed"]))
         rows.append(row)
-    with open(out_csv, "w", encoding="utf-8", newline="\n") as fh:
-        head = "kn,z_plus,band_edge"
-        if params.get("empirical"):
-            head += ",emp_mean,emp_stderr"
-        fh.write(head + "\n")
-        for row in rows:
-            fh.write(",".join("" if v is None else _fmt(v) for v in row) + "\n")
-    manifest = RunManifest(command="hub", model=spec, params=params,
-                           base_seed=params.get("seed"), version=__version__,
-                           outputs=[out_csv.name])
-    manifest.write(_manifest_path(out_csv))
-    print(f"wrote {out_csv}")
+    head = "kn,z_plus,band_edge"
+    if params["empirical"]:
+        head += ",emp_mean,emp_stderr"
+    _write_csv(paths["out"], head, rows)
+    _record("hub", spec, params, paths)
     return EXIT_OK
+
+
+_RUNNERS = {"density": _run_density, "empirical": _run_empirical,
+            "hub": _run_hub_sweep}
+
+# the flags each command hands its runner as `params` and as `paths`
+_PARAMS = {"density": ("zmin", "zmax", "points", "eta"),
+           "empirical": ("n", "reps", "bins", "seed", "kind"),
+           "hub": ("sweep", "empirical", "n", "reps", "seed")}
+_ROLES = {"density": ("out", "svg"), "empirical": ("out", "svg", "dump"),
+          "hub": ("out",)}
 
 
 # --------------------------------------------------------------------------
 # argparse commands
 # --------------------------------------------------------------------------
 
-def _cmd_density(args) -> int:
+def _cmd_file(args) -> int:
     model, spec = _load_model_arg(args.model)
-    params = {"zmin": args.zmin, "zmax": args.zmax,
-              "points": args.points, "eta": args.eta}
-    return _run_density(model, spec, params, Path(args.out),
-                        Path(args.svg) if args.svg else None)
-
-
-def _cmd_empirical(args) -> int:
-    model, spec = _load_model_arg(args.model)
-    params = {"n": args.n, "reps": args.reps, "bins": args.bins,
-              "seed": args.seed, "kind": args.kind}
-    return _run_empirical(model, spec, params, Path(args.out),
-                          Path(args.svg) if args.svg else None,
-                          Path(args.dump) if args.dump else None)
+    params = {name: getattr(args, name) for name in _PARAMS[args.command]}
+    paths = {role: Path(getattr(args, role)) for role in _ROLES[args.command]
+             if getattr(args, role)}
+    return _RUNNERS[args.command](model, spec, params, paths)
 
 
 def _cmd_leading(args) -> int:
@@ -216,23 +205,11 @@ def _cmd_leading(args) -> int:
 
 
 def _cmd_hub(args) -> int:
-    model, spec = _load_model_arg(args.model)
-    if args.sweep:
-        try:
-            lo, hi, steps = args.sweep.split(":")
-            lo, hi, steps = float(lo), float(hi), int(steps)
-        except ValueError:
-            raise ValueError(SWEEP_USAGE) from None
+    if args.sweep is not None:
         if not args.out:
-            print("error: --sweep requires --out", file=sys.stderr)
-            return EXIT_USAGE
-        params = {"sweep": [lo, hi, steps], "empirical": args.empirical,
-                  "n": args.n, "reps": args.reps, "seed": args.seed}
-        return _run_hub_sweep(model, spec, params, Path(args.out))
-
-    if args.kn is None:
-        print("error: provide --kn or --sweep", file=sys.stderr)
-        return EXIT_USAGE
+            raise ValueError("--sweep requires --out")
+        return _cmd_file(args)
+    model, _ = _load_model_arg(args.model)
     pred = analytic.hub_eigenvalues(model, args.kn)
     print(f"k_critical = {pred.k_critical:.9g}")
     if pred.exists:
@@ -256,23 +233,22 @@ def _cmd_hub(args) -> int:
 
 def _cmd_replay(args) -> int:
     manifest = RunManifest.from_file(args.manifest)
+    if manifest.command not in _RUNNERS:
+        raise ValueError(f"manifest command {manifest.command!r} is not replayable")
+    roles = _ROLES[manifest.command]
+    if "out" not in manifest.outputs or not set(manifest.outputs) <= set(roles):
+        raise ValueError(f"{manifest.command} outputs need the role 'out' and "
+                         f"allow only {', '.join(roles)}")
+    for name in manifest.outputs.values():
+        # a path would let the manifest write outside --outdir
+        if name in ("", "..") or Path(name).name != name:
+            raise ValueError(f"manifest output {name!r} is not a bare file name")
+    model = DegreeModel.from_spec(manifest.model)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    model = DegreeModel.from_spec(manifest.model)
-    outs = [outdir / name for name in manifest.outputs]
-    if manifest.command == "density":
-        svg = next((p for p in outs if p.suffix == ".svg"), None)
-        return _run_density(model, manifest.model, manifest.params, outs[0], svg)
-    if manifest.command == "empirical":
-        svg = next((p for p in outs if p.suffix == ".svg"), None)
-        dump = next((p for p in outs[1:] if p.suffix == ".csv"), None)
-        return _run_empirical(model, manifest.model, manifest.params,
-                              outs[0], svg, dump)
-    if manifest.command == "hub":
-        return _run_hub_sweep(model, manifest.model, manifest.params, outs[0])
-    print(f"error: manifest command {manifest.command!r} is not replayable",
-          file=sys.stderr)
-    return EXIT_USAGE
+    return _RUNNERS[manifest.command](
+        model, manifest.model, manifest.params,
+        {role: outdir / name for role, name in manifest.outputs.items()})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -281,6 +257,11 @@ def build_parser() -> argparse.ArgumentParser:
                             "with given expected degrees.")
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
+
+    ensemble = argparse.ArgumentParser(add_help=False)
+    ensemble.add_argument("--n", type=int, default=2000)
+    ensemble.add_argument("--reps", type=int, default=25)
+    ensemble.add_argument("--seed", type=int, default=1)
 
     d = sub.add_parser("density", help="analytic spectral density curve")
     d.add_argument("model", help="model spec JSON file")
@@ -291,39 +272,34 @@ def build_parser() -> argparse.ArgumentParser:
                    help="imaginary offset (default: grid-based policy)")
     d.add_argument("--out", required=True, help="output CSV path")
     d.add_argument("--svg", default=None, help="optional SVG plot path")
-    d.set_defaults(func=_cmd_density)
+    d.set_defaults(func=_cmd_file)
 
-    e = sub.add_parser("empirical", help="sampled eigenvalue histogram")
+    e = sub.add_parser("empirical", parents=[ensemble],
+                       help="sampled eigenvalue histogram")
     e.add_argument("model")
-    e.add_argument("--n", type=int, default=2000)
-    e.add_argument("--reps", type=int, default=25)
     e.add_argument("--bins", type=int, default=100)
-    e.add_argument("--seed", type=int, default=1)
     e.add_argument("--kind", choices=list(empirical.MATRIX_KINDS),
                    default="modularity")
     e.add_argument("--out", required=True)
     e.add_argument("--svg", default=None)
     e.add_argument("--dump", default=None,
                    help="also dump pooled eigenvalues to this CSV")
-    e.set_defaults(func=_cmd_empirical)
+    e.set_defaults(func=_cmd_file)
 
-    l = sub.add_parser("leading", help="leading adjacency eigenvalue")
+    l = sub.add_parser("leading", parents=[ensemble],
+                       help="leading adjacency eigenvalue")
     l.add_argument("model")
     l.add_argument("--empirical", action="store_true")
-    l.add_argument("--n", type=int, default=2000)
-    l.add_argument("--reps", type=int, default=25)
-    l.add_argument("--seed", type=int, default=1)
     l.set_defaults(func=_cmd_leading)
 
-    h = sub.add_parser("hub", help="hub eigenvalues and localization")
+    h = sub.add_parser("hub", parents=[ensemble],
+                       help="hub eigenvalues and localization")
     h.add_argument("model")
-    h.add_argument("--kn", type=float, default=None)
-    h.add_argument("--sweep", default=None, help="lo:hi:steps")
+    which = h.add_mutually_exclusive_group(required=True)
+    which.add_argument("--kn", type=float)
+    which.add_argument("--sweep", help="lo:hi:steps")
     h.add_argument("--out", default=None)
     h.add_argument("--empirical", action="store_true")
-    h.add_argument("--n", type=int, default=2000)
-    h.add_argument("--reps", type=int, default=25)
-    h.add_argument("--seed", type=int, default=1)
     h.set_defaults(func=_cmd_hub)
 
     r = sub.add_parser("replay", help="re-run a manifest byte-identically")
@@ -348,9 +324,10 @@ def run(argv=None) -> int:
     except NetspectraError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (OSError, KeyError, ValueError) as exc:
+    except (OSError, KeyError, TypeError, ValueError) as exc:
         # ValueError covers malformed JSON, non-numeric model entries and
-        # other rejected inputs; library errors were caught above
+        # other rejected inputs; KeyError and TypeError cover a manifest
+        # or model file of the wrong shape; library errors were caught above
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

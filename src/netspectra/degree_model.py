@@ -48,7 +48,6 @@ class DegreeModel:
     weights: np.ndarray
     kind: str
     support: tuple[float, float] | None = None
-    quad_nodes: int = 0
     n_atoms: int = field(default=0)  # leading entries of `degrees` that are true atoms
 
     def __post_init__(self):
@@ -137,7 +136,7 @@ class DegreeModel:
         w_all = np.concatenate([atom_w, w])
         return cls(degrees=_as_readonly(d_all), weights=_as_readonly(w_all),
                    kind=KIND_CONTINUOUS, support=(float(lo), float(hi)),
-                   quad_nodes=int(nodes), n_atoms=len(atom_d))
+                   n_atoms=len(atom_d))
 
     @classmethod
     def uniform(cls, lo: float, hi: float,
@@ -160,10 +159,19 @@ class DegreeModel:
         Either key may be omitted (not both).  "k"/"density" apply to the
         tabulated kind only and are interpolated linearly; "lo"/"hi" default
         to the tabulated endpoints.  The continuous block receives the mass
-        the atoms leave over.
+        the atoms leave over.  A spec of any other shape raises
+        ModelValidationError.
         """
-        atoms = [(float(d), float(p)) for d, p in spec.get("atoms", [])]
+        if not isinstance(spec, dict):
+            raise ModelValidationError("model spec must be a JSON object")
+        try:
+            atoms = [(float(d), float(p)) for d, p in spec.get("atoms", [])]
+        except (TypeError, ValueError):
+            raise ModelValidationError(
+                "atoms must be a list of numeric [degree, weight] pairs") from None
         cont = spec.get("continuous")
+        if cont is not None and not isinstance(cont, dict):
+            raise ModelValidationError("continuous must be a JSON object")
         if cont is None:
             if not atoms:
                 raise ModelValidationError("model spec is empty")
@@ -196,8 +204,7 @@ class DegreeModel:
 
     @property
     def max_degree(self) -> float:
-        return float(self.degrees[-1]) if self.n_atoms == self.degrees.size \
-            else float(self.degrees.max())
+        return float(self.degrees.max())
 
     def mean_degree(self) -> float:
         """Average expected degree c = sum_r w_r d_r."""

@@ -206,8 +206,8 @@ def test_acceptance_8_manifest_replay(tmp_path):
         replay_dir = tmp_path / ("replay_" + outputs[0].split(".")[0])
         assert run(["replay", str(manifest_path),
                     "--outdir", str(replay_dir)]) == EXIT_OK
-        for name in outputs:
+        for name in outputs + [manifest_path.name]:
             assert (replay_dir / name).read_bytes() == \
                 (tmp_path / name).read_bytes(), f"{name} differs under replay"
     print("\nACCEPTANCE 8 PASS: density, empirical and hub-sweep manifests "
-          "replay byte-identically (CSV and SVG)")
+          "replay byte-identically (CSV, SVG and run manifest)")

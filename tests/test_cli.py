@@ -215,9 +215,9 @@ def test_replay_hub_sweep(tmp_path, poisson_file, capsys):
     assert run(["replay", str(path), "--outdir", str(tmp_path / "a")]) == EXIT_OK
     assert (tmp_path / "a" / "sweep.csv").read_bytes() == out.read_bytes()
     # an edited step count cannot get past the check that --sweep has
-    for steps in (0, 2.7):
+    for steps in ("0", "2.7"):
         manifest = json.loads(path.read_text())
-        manifest["params"]["sweep"] = [110.0, 400.0, steps]
+        manifest["params"]["sweep"] = f"110:400:{steps}"
         path.write_text(json.dumps(manifest))
         capsys.readouterr()
         rep = tmp_path / f"replayed-{steps}"
@@ -225,6 +225,16 @@ def test_replay_hub_sweep(tmp_path, poisson_file, capsys):
         err = capsys.readouterr().err
         assert err == "error: --sweep expects lo:hi:steps\n"
         assert not (rep / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("flags", [["--kn", "400", "--sweep", "110:400:3"], []],
+                         ids=["both", "neither"])
+def test_hub_needs_exactly_one_of_kn_and_sweep(tmp_path, poisson_file, flags):
+    out = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as exc:
+        run(["hub", str(poisson_file), *flags, "--out", str(out)])
+    assert exc.value.code == EXIT_USAGE
+    assert not out.exists()
 
 
 def test_replay_density_byte_identical(tmp_path, two_degree_file):
@@ -245,6 +255,80 @@ def test_replay_empirical_byte_identical(tmp_path, poisson_file):
     assert run(["replay", str(tmp_path / "hist.csv.manifest.json"),
                 "--outdir", str(rep)]) == EXIT_OK
     assert (rep / "hist.csv").read_bytes() == out.read_bytes()
+
+
+def test_replay_writes_dump_by_role(tmp_path, poisson_file):
+    # the dump is found by its role, not by its suffix
+    out = tmp_path / "hist.csv"
+    assert run(["empirical", str(poisson_file), "--n", "120", "--reps", "2",
+                "--bins", "20", "--seed", "4", "--out", str(out),
+                "--dump", str(tmp_path / "eigs.txt")]) == EXIT_OK
+    rep = tmp_path / "replayed"
+    assert run(["replay", str(tmp_path / "hist.csv.manifest.json"),
+                "--outdir", str(rep)]) == EXIT_OK
+    for name in ("hist.csv", "eigs.txt", "eigs.txt.manifest.json",
+                 "hist.csv.manifest.json"):
+        assert (rep / name).read_bytes() == (tmp_path / name).read_bytes(), name
+
+
+def test_replay_svg_named_out_and_svg(tmp_path, poisson_file):
+    # an SVG-suffixed primary output must not take the plot's place
+    assert run(["density", str(poisson_file), "--zmin", "-25", "--zmax", "25",
+                "--points", "51", "--out", str(tmp_path / "curve.svg"),
+                "--svg", str(tmp_path / "plot.svg")]) == EXIT_OK
+    rep = tmp_path / "replayed"
+    assert run(["replay", str(tmp_path / "curve.svg.manifest.json"),
+                "--outdir", str(rep)]) == EXIT_OK
+    for name in ("curve.svg", "plot.svg", "curve.svg.manifest.json"):
+        assert (rep / name).read_bytes() == (tmp_path / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("name", ["ABS", "../escaped.csv", "sub/x.csv", ".."])
+def test_replay_stays_inside_outdir(tmp_path, poisson_file, capsys, name):
+    out = tmp_path / "curve.csv"
+    assert run(["density", str(poisson_file), "--zmin", "-25", "--zmax", "25",
+                "--points", "51", "--out", str(out)]) == EXIT_OK
+    target = tmp_path / "elsewhere" / "abs.csv"
+    target.parent.mkdir()
+    path = tmp_path / "curve.csv.manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["outputs"]["out"] = str(target) if name == "ABS" else name
+    path.write_text(json.dumps(manifest))
+    before = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    rep = tmp_path / "outdir"
+    assert run(["replay", str(path), "--outdir", str(rep)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "bare file name" in err
+    assert err.count("\n") == 1
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda m: [m], ""),
+    (lambda m: {**m, "outputs": ["curve.csv"]}, "format before roles"),
+    (lambda m: {**m, "outputs": []}, "format before roles"),
+    (lambda m: {**m, "params": {**m["params"], "zmin": "-25"}}, ""),
+    (lambda m: {**m, "model": [[100.0, 1.0]]}, "must be a JSON object"),
+    (lambda m: {**m, "outputs": {**m["outputs"], "plot": "curve.svg"}},
+     "allow only out, svg"),
+    (lambda m: {**m, "outputs": {"svg": "curve.svg"}}, "need the role 'out'"),
+], ids=["list", "list_outputs", "empty_list_outputs", "string_zmin",
+        "list_model", "unknown_role", "no_out_role"])
+def test_malformed_manifest_is_usage_error(tmp_path, poisson_file, capsys,
+                                           edit, message):
+    # each case edits a valid density manifest into one malformed input
+    assert run(["density", str(poisson_file), "--zmin", "-25", "--zmax", "25",
+                "--points", "51", "--out", str(tmp_path / "curve.csv")]) == EXIT_OK
+    path = tmp_path / "curve.csv.manifest.json"
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    capsys.readouterr()
+    rep = tmp_path / "replayed"
+    assert run(["replay", str(path), "--outdir", str(rep)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert err.count("\n") == 1
+    assert not rep.exists() or not any(rep.iterdir())
 
 
 def test_replay_empirical_empty_range_is_usage_error(tmp_path, poisson_file,
@@ -282,6 +366,9 @@ def test_non_numeric_model_entry_is_usage_error(tmp_path, capsys, atoms):
     ({"atoms": [[-5.0, 1.0]]}, "atom degrees must be positive"),
     ({"continuous": {"kind": "lognormal", "lo": 1.0, "hi": 9.0}},
      "unknown continuous kind"),
+    ([[100.0, 1.0]], "model spec must be a JSON object"),
+    ({"atoms": [100.0, 1.0]}, "[degree, weight] pairs"),
+    ({"continuous": [60.0, 140.0]}, "continuous must be a JSON object"),
 ])
 def test_invalid_model_is_usage_error(tmp_path, capsys, spec, message):
     bad = tmp_path / "bad.json"
@@ -305,7 +392,7 @@ def test_non_integer_dense_cap_is_usage_error(tmp_path, poisson_file, capsys,
 def test_manifest_roundtrip(tmp_path):
     m = RunManifest(command="density", model={"atoms": [[1.0, 1.0]]},
                     params={"zmin": -1.0}, base_seed=None, version="0.1.0",
-                    outputs=["x.csv"])
+                    outputs={"out": "x.csv"})
     p = tmp_path / "m.json"
     m.write(p)
     again = RunManifest.from_file(p)
