@@ -37,6 +37,7 @@ from .sampler import (
 from .empirical import (
     EigenReport,
     EnsembleHistogram,
+    compare_density,
     dense_symmetric_eigen,
     empirical_density,
     ensemble_hub_localization,

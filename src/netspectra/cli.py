@@ -22,8 +22,8 @@ import numpy as np
 
 from . import __version__, analytic, empirical
 from .degree_model import DegreeModel
-from .errors import (ModelValidationError, NetspectraError,
-                     NoDetachedEigenvalueError)
+from .errors import (DenseCapError, MeanOverflowError, ModelValidationError,
+                     NetspectraError, NoDetachedEigenvalueError)
 from .svgplot import render_svg
 
 EXIT_OK = 0
@@ -123,11 +123,8 @@ def _run_empirical(model: DegreeModel, spec: dict, params: dict,
             hist.eigenvalues, paths["dump"],
             manifest={"model": spec, "n": params["n"], "seed": params["seed"],
                       "kind": params["kind"], "replicates": params["reps"]})
-    l1 = empirical.l1_distance(hist, model)
+    l1, curve = empirical.compare_density(hist, model)
     if "svg" in paths:
-        centers = 0.5 * (hist.bin_edges[1:] + hist.bin_edges[:-1])
-        curve = analytic.density_grid(model, float(centers[0]), float(centers[-1]),
-                                      centers.size, eta=1e-6)
         render_svg(paths["svg"], curves=[(curve.z, curve.rho, "#d62728")],
                    steps=(hist.bin_edges, hist.density),
                    title="empirical vs analytic density")
@@ -209,6 +206,9 @@ def _cmd_hub(args) -> int:
         if not args.out:
             raise ValueError("--sweep requires --out")
         return _cmd_file(args)
+    if args.out:
+        # only the sweep writes a file; --kn prints its report
+        raise ValueError("--out requires --sweep")
     model, _ = _load_model_arg(args.model)
     pred = analytic.hub_eigenvalues(model, args.kn)
     print(f"k_critical = {pred.k_critical:.9g}")
@@ -317,8 +317,9 @@ def run(argv=None) -> int:
     except NoDetachedEigenvalueError as exc:
         print(f"absent result: {exc}", file=sys.stderr)
         return EXIT_ABSENT
-    except ModelValidationError as exc:
-        # an invalid model is bad input, not a numeric failure
+    except (ModelValidationError, DenseCapError, MeanOverflowError) as exc:
+        # an invalid model, an --n past the dense cap or degrees too large
+        # for --n are bad input, not numeric failures
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except NetspectraError as exc:

@@ -299,14 +299,21 @@ def hub_vector_stats(network: SampledNetwork,
 # comparison and export
 # --------------------------------------------------------------------------
 
-def l1_distance(hist: EnsembleHistogram, model: DegreeModel,
-                eta: float = 1e-6) -> float:
-    """Integrated absolute difference between histogram and analytic density."""
+def compare_density(hist: EnsembleHistogram, model: DegreeModel,
+                    eta: float = 1e-6) -> tuple[float, analytic.SpectralCurve]:
+    """Integrated absolute difference between histogram and analytic density,
+    and the analytic curve at the bin centres it was measured against."""
     centers = 0.5 * (hist.bin_edges[1:] + hist.bin_edges[:-1])
     curve = analytic.density_grid(model, float(centers[0]), float(centers[-1]),
                                   centers.size, eta=eta)
     width = hist.bin_edges[1] - hist.bin_edges[0]
-    return float(np.sum(np.abs(hist.density - curve.rho) * width))
+    return float(np.sum(np.abs(hist.density - curve.rho) * width)), curve
+
+
+def l1_distance(hist: EnsembleHistogram, model: DegreeModel,
+                eta: float = 1e-6) -> float:
+    """Integrated absolute difference between histogram and analytic density."""
+    return compare_density(hist, model, eta)[0]
 
 
 def write_histogram_csv(hist: EnsembleHistogram, path: str | Path) -> None:

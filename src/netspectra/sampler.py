@@ -10,9 +10,17 @@ Poisson thinning makes the per-pair counts come out independent with exactly
 the means above, in O(m) expected time.
 
 Random streams come from numpy's counter-based Philox generator keyed by the
-64-bit seed (one Poisson draw for M, then 2M uniforms inverted through the
-cumulative endpoint distribution), so a (degrees, seed) pair maps to one
-fixed edge multiset.
+64-bit seed (one Poisson draw for M, then 2M uniforms), so a (degrees, seed)
+pair maps to one fixed edge multiset.  Each uniform is inverted through the
+cumulative endpoint distribution by a guide table with 4n entries (Chen &
+Asau's indexed search, Devroye 1986, section III.2.4): the table starts each
+uniform within a step or two of its index, and the result equals a binary
+search.
+
+The edges come out of `np.unique` sorted by (i, j), so the matrices are
+assembled without a sort: the sparse adjacency from the upper triangle's CSR
+arrays and their transpose, the dense matrices by scattering the edge
+multiplicities into one buffer.
 """
 from __future__ import annotations
 
@@ -20,12 +28,15 @@ import os
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .degree_model import DegreeSequence
 from .errors import DenseCapError, MeanOverflowError
+
+if TYPE_CHECKING:
+    from scipy.sparse import csr_matrix
 
 DEFAULT_DENSE_CAP = 4000
 DENSE_CAP_ENV = "NETSPECTRA_DENSE_CAP"
@@ -69,19 +80,48 @@ class SampledNetwork:
         deg += np.bincount(self.edge_j, weights=self.edge_mult, minlength=self.n)
         return deg
 
-    def adjacency_sparse(self) -> sp.csr_matrix:
-        """Symmetric sparse adjacency; A[i, j] is the edge multiplicity."""
-        off = self.edge_i != self.edge_j
-        rows = np.concatenate([self.edge_i, self.edge_j[off]])
-        cols = np.concatenate([self.edge_j, self.edge_i[off]])
-        vals = np.concatenate([self.edge_mult, self.edge_mult[off]]).astype(float)
-        return sp.csr_matrix((vals, (rows, cols)), shape=(self.n, self.n))
+    def adjacency_sparse(self) -> csr_matrix:
+        """Symmetric sparse adjacency; A[i, j] is the edge multiplicity.
 
-    def adjacency_dense(self) -> np.ndarray:
+        The edges are sorted by (i, j) with i <= j, so they are already the
+        canonical CSR arrays of the upper triangle; the lower triangle is the
+        transpose of its strict part, and the two share no entry.
+        """
+        # imported here: the analytic commands never build a sparse matrix,
+        # and a module-level import adds about 0.3 s to every start-up
+        from scipy.sparse import csr_matrix
+
+        def upper(keep: np.ndarray | slice) -> csr_matrix:
+            row_sizes = np.bincount(self.edge_i[keep], minlength=self.n)
+            indptr = np.concatenate([[0], np.cumsum(row_sizes)])
+            return csr_matrix((self.edge_mult[keep].astype(float),
+                               self.edge_j[keep], indptr),
+                              shape=(self.n, self.n))
+
+        strict = upper(self.edge_i != self.edge_j).tocsc()
+        # the CSC arrays of the strict upper triangle are the CSR arrays of
+        # its transpose
+        lower = csr_matrix((strict.data, strict.indices, strict.indptr),
+                           shape=(self.n, self.n))
+        return upper(slice(None)) + lower
+
+    def _check_dense_cap(self) -> None:
         if self.n > dense_cap():
             raise DenseCapError(
                 f"n={self.n} exceeds the dense cap {dense_cap()}")
-        return self.adjacency_sparse().toarray()
+
+    def _add_edges(self, dense: np.ndarray) -> np.ndarray:
+        """Add each edge multiplicity to dense[i, j] and dense[j, i], in place."""
+        flat = dense.reshape(-1)
+        flat[self.edge_i * self.n + self.edge_j] += self.edge_mult
+        off = self.edge_i != self.edge_j
+        flat[self.edge_j[off] * self.n + self.edge_i[off]] += self.edge_mult[off]
+        return dense
+
+    def adjacency_dense(self) -> np.ndarray:
+        """Dense symmetric adjacency (n capped by dense_cap)."""
+        self._check_dense_cap()
+        return self._add_edges(np.zeros((self.n, self.n)))
 
     def modularity_view(self) -> "ModularityView":
         return ModularityView(network=self)
@@ -105,7 +145,7 @@ class ModularityView:
     network: SampledNetwork
 
     @cached_property
-    def _adj(self) -> sp.csr_matrix:
+    def _adj(self) -> csr_matrix:
         return self.network.adjacency_sparse()
 
     @property
@@ -136,7 +176,7 @@ def sample_network(degrees: DegreeSequence, seed: int) -> SampledNetwork:
     total_edges = int(rng.poisson(two_m / 2.0))
     cum = np.cumsum(k / two_m)
     cum[-1] = 1.0
-    ends = np.searchsorted(cum, rng.random(2 * total_edges), side="right")
+    ends = _invert_cumulative(cum, rng.random(2 * total_edges))
     u, v = ends[0::2], ends[1::2]
     lo = np.minimum(u, v).astype(np.int64)
     hi = np.maximum(u, v).astype(np.int64)
@@ -149,6 +189,29 @@ def sample_network(degrees: DegreeSequence, seed: int) -> SampledNetwork:
                           seed=int(seed))
 
 
+def _invert_cumulative(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """np.searchsorted(cum, u, side="right") for uniforms u in [0, 1) and a
+    nondecreasing cum ending at 1.0, by a guide table with 4n entries."""
+    size = 4 * cum.size
+    table = np.searchsorted(cum, np.arange(size) / size, side="right")
+    bucket = (u * size).astype(np.intp)
+    np.minimum(bucket, size - 1, out=bucket)
+    idx = table[bucket]
+    # table[j] is exact for u >= j / size, but u * size can round up to the
+    # next bucket; step back while the entry below idx still exceeds u
+    below = np.concatenate([[-np.inf], cum])  # below[i] == cum[i - 1]
+    live = np.flatnonzero(below[idx] > u)
+    while live.size:
+        idx[live] -= 1
+        live = live[below[idx[live]] > u[live]]
+    # then forward to the first entry above u (cum[-1] == 1.0 > u stops it)
+    live = np.flatnonzero(cum[idx] <= u)
+    while live.size:
+        idx[live] += 1
+        live = live[cum[idx[live]] <= u[live]]
+    return idx
+
+
 def attach_hub(degrees: DegreeSequence, k_n: float) -> DegreeSequence:
     """Append one vertex of expected degree k_n to the sequence."""
     if k_n <= 0:
@@ -157,10 +220,18 @@ def attach_hub(degrees: DegreeSequence, k_n: float) -> DegreeSequence:
 
 
 def densify_modularity(view: ModularityView) -> np.ndarray:
-    """Dense symmetric matrix A - k k^T / 2m (n capped by dense_cap)."""
+    """Dense symmetric matrix A - k k^T / 2m (n capped by dense_cap).
+
+    Built as (-k) k^T / 2m with the edges added in place, so no dense
+    adjacency is formed.  IEEE rounding is symmetric in sign, and a + (-x)
+    is a - x, so every entry has the bits of A[i, j] - k_i k_j / 2m.
+    """
     net = view.network
+    net._check_dense_cap()
     k = net.degrees.k
-    return net.adjacency_dense() - np.outer(k, k) / net.two_m_expected
+    dense = np.outer(-k, k)
+    dense /= net.two_m_expected
+    return net._add_edges(dense)
 
 
 def write_edge_list(net: SampledNetwork, path: str | Path) -> None:

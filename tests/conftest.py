@@ -3,10 +3,17 @@ from __future__ import annotations
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from netspectra import DegreeModel
 
 DATA_DIR = Path(__file__).parent / "data"
+
+# property tests draw the same examples on every run and keep no example
+# database, so the suite stays deterministic and writes nothing to the tree
+settings.register_profile("deterministic", derandomize=True, database=None,
+                          deadline=None, print_blob=False)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture()

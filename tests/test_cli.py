@@ -1,13 +1,20 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from netspectra import (DegreeModel, band_edges, ensemble_hub_localization,
-                        ensemble_hub_top, hub_eigenvalues)
+import netspectra
+from netspectra import (DegreeModel, analytic, band_edges, empirical_density,
+                        ensemble_hub_localization, ensemble_hub_top,
+                        hub_eigenvalues, l1_distance)
 from netspectra.cli import EXIT_ABSENT, EXIT_OK, EXIT_USAGE, RunManifest, run
+from netspectra.sampler import DEFAULT_DENSE_CAP
 
 
 @pytest.fixture()
@@ -88,6 +95,40 @@ def test_empirical_csv_and_l1(tmp_path, poisson_file, capsys):
     assert manifest["params"]["range"] == [lo - 2.0, hi + 2.0]
 
 
+def test_cli_import_loads_no_scipy():
+    # the analytic commands never need SciPy, and importing it would add
+    # about 0.3 s to every start-up; the sampler and eigensolver import it
+    # when they run
+    src = Path(netspectra.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src), os.environ.get("PYTHONPATH", "")])}
+    code = ("import sys, netspectra.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout == "[]\n"
+
+
+def test_empirical_svg_solves_density_grid_once(tmp_path, poisson_file,
+                                                 capsys, monkeypatch):
+    calls = []
+    density_grid = analytic.density_grid
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return density_grid(*args, **kwargs)
+
+    monkeypatch.setattr(analytic, "density_grid", counted)
+    code = run(["empirical", str(poisson_file), "--n", "200", "--reps", "2",
+                "--bins", "30", "--seed", "5", "--out", str(tmp_path / "h.csv"),
+                "--svg", str(tmp_path / "h.svg")])
+    assert code == EXIT_OK
+    assert len(calls) == 1
+    model = DegreeModel.poisson(100.0)
+    l1 = l1_distance(empirical_density(model, 200, 2, 30, 5), model)
+    assert f"L1 distance to analytic curve = {l1:.6g}\n" in capsys.readouterr().out
+
+
 def test_empirical_usage_errors(tmp_path, poisson_file):
     assert run(["empirical", str(poisson_file), "--reps", "0",
                 "--out", str(tmp_path / "h.csv")]) == EXIT_USAGE
@@ -149,6 +190,14 @@ def test_hub_empirical_report_matches_library(poisson_file, capsys):
     assert (f"ensemble top modularity eigenvalue: {mean:.6g} +/- {stderr:.3g}"
             in out)
     assert f"measured vn_sq = {vn:.6g}\n" in out
+
+
+def test_hub_out_without_sweep_is_usage_error(tmp_path, poisson_file, capsys):
+    out = tmp_path / "hub.csv"
+    assert run(["hub", str(poisson_file), "--kn", "400",
+                "--out", str(out)]) == EXIT_USAGE
+    assert capsys.readouterr() == ("", "error: --out requires --sweep\n")
+    assert not out.exists()
 
 
 def test_hub_pole_is_numeric_failure(poisson_file, capsys):
@@ -377,6 +426,35 @@ def test_invalid_model_is_usage_error(tmp_path, capsys, spec, message):
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err
     assert err.count("\n") == 1
+
+
+def test_empirical_past_dense_cap_is_usage_error(tmp_path, poisson_file, capsys,
+                                                 monkeypatch):
+    monkeypatch.delenv("NETSPECTRA_DENSE_CAP", raising=False)
+    out = tmp_path / "hist.csv"
+    code = run(["empirical", str(poisson_file), "--n", str(DEFAULT_DENSE_CAP + 1),
+                "--reps", "1", "--out", str(out)])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err == (f"error: n={DEFAULT_DENSE_CAP + 1} exceeds the dense cap "
+                   f"{DEFAULT_DENSE_CAP}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["empirical", "--out", "hist.csv"],
+                                     ["leading", "--empirical"]],
+                         ids=["empirical", "leading"])
+def test_mean_overflow_is_usage_error(tmp_path, capsys, monkeypatch, command):
+    # half the degrees are 1000 on 20 vertices: the largest pairwise mean
+    # k_i k_j / 2m is about 100 edges, more than n
+    path = tmp_path / "heavy.json"
+    path.write_text(json.dumps({"atoms": [[1.0, 0.5], [1000.0, 0.5]]}))
+    monkeypatch.chdir(tmp_path)
+    code = run([command[0], str(path), *command[1:], "--n", "20", "--reps", "1"])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: largest pairwise mean") and err.count("\n") == 1
+    assert not (tmp_path / "hist.csv").exists()
 
 
 def test_non_integer_dense_cap_is_usage_error(tmp_path, poisson_file, capsys,

@@ -2,12 +2,16 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from netspectra import (
     DegreeModel,
     DegreeSequence,
     DenseCapError,
     MeanOverflowError,
+    SampledNetwork,
     attach_hub,
     dense_symmetric_eigen,
     densify_modularity,
@@ -15,6 +19,7 @@ from netspectra import (
     sample_network,
     write_edge_list,
 )
+from netspectra.sampler import _invert_cumulative
 
 GOLDEN_SEQ = DegreeSequence.from_values(
     [3.0, 5.0, 2.0, 8.0, 4.0, 6.0, 3.5, 2.5, 7.0, 4.5, 5.5, 9.0])
@@ -192,3 +197,104 @@ def test_neighbors_of():
     a = net.adjacency_dense()
     expect = np.flatnonzero(a[11] > 0)
     assert np.array_equal(nb, expect[expect != 11])
+
+
+# ---------------------------------------------------------------- properties
+# The guide-table inversion and the sort-free matrix assembly must agree bit
+# for bit with the constructions they replace: a binary search over the
+# cumulative endpoint distribution, scipy's COO -> CSR conversion, and the
+# dense adjacency minus the rank-one mean.
+
+def _cumulative(weights: list[int]) -> np.ndarray:
+    # zero weights repeat an entry of cum, as ties do
+    cum = np.cumsum(np.asarray(weights, dtype=float)) / float(sum(weights))
+    cum[-1] = 1.0
+    return cum
+
+
+@st.composite
+def _cum_and_uniforms(draw):
+    weights = draw(st.lists(st.integers(0, 5), min_size=2, max_size=40)
+                   .filter(any))
+    cum = _cumulative(weights)
+    size = 4 * cum.size
+    special = [0.0, np.nextafter(1.0, 0.0), *cum[:-1],
+               *(np.arange(size) / size)]
+    special += [np.nextafter(x, 0.0) for x in special if x > 0]
+    special = [x for x in special if x < 1.0]  # trailing zero weights
+    drawn = draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=200))
+    return cum, np.array(special + drawn)
+
+
+@given(_cum_and_uniforms())
+def test_guide_table_inversion_equals_searchsorted(case):
+    cum, u = case
+    got = _invert_cumulative(cum, u)
+    assert np.array_equal(got, np.searchsorted(cum, u, side="right"))
+
+
+@pytest.mark.parametrize("weights", [[1, 1], [0, 3], [5, 0, 0, 1],
+                                     [1] * 7 + [0] * 5 + [2], [3, 2, 1]])
+def test_guide_table_inversion_edge_cases(weights):
+    # n = 2 and runs of equal entries, at every bucket start, at every entry
+    # of cum and one ulp below each; with weights 3, 2, 1 the uniform one ulp
+    # below cum[1] = 10/12 rounds up into bucket 10, past its answer
+    cum = _cumulative(weights)
+    size = 4 * cum.size
+    u = np.concatenate([np.arange(size) / size, cum[:-1], [0.0]])
+    u = np.concatenate([u, np.nextafter(u[u > 0], 0.0),
+                        [np.nextafter(1.0, 0.0)]])
+    assert np.array_equal(_invert_cumulative(cum, u),
+                          np.searchsorted(cum, u, side="right"))
+
+
+def _network(k: list[float], pairs: list[tuple[int, int]]) -> SampledNetwork:
+    """An edge multiset on len(k) vertices, stored as sample_network does."""
+    n = len(k)
+    lo = np.array([min(p) for p in pairs], dtype=np.int64)
+    hi = np.array([max(p) for p in pairs], dtype=np.int64)
+    uniq, counts = np.unique(lo * n + hi, return_counts=True)
+    return SampledNetwork(degrees=DegreeSequence.from_values(k),
+                          edge_i=uniq // n, edge_j=uniq % n,
+                          edge_mult=counts.astype(np.int64), seed=0)
+
+
+@st.composite
+def _networks(draw):
+    k = draw(st.lists(st.floats(1e-3, 1e3), min_size=2, max_size=12))
+    vertex = st.integers(0, len(k) - 1)
+    return _network(k, draw(st.lists(st.tuples(vertex, vertex), max_size=60)))
+
+
+def _assert_assembly_equals_reference(net: SampledNetwork) -> None:
+    off = net.edge_i != net.edge_j
+    rows = np.concatenate([net.edge_i, net.edge_j[off]])
+    cols = np.concatenate([net.edge_j, net.edge_i[off]])
+    vals = np.concatenate([net.edge_mult, net.edge_mult[off]]).astype(float)
+    ref = sp.csr_matrix((vals, (rows, cols)), shape=(net.n, net.n))
+    got = net.adjacency_sparse()
+    assert got.has_canonical_format
+    for attr in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got, attr), getattr(ref, attr))
+    dense = ref.toarray()
+    assert np.array_equal(net.adjacency_dense(), dense)
+    k = net.degrees.k
+    assert np.array_equal(densify_modularity(net.modularity_view()),
+                          dense - np.outer(k, k) / net.two_m_expected)
+
+
+@given(_networks())
+@example(_network([1.0, 2.0, 3.0, 4.0, 5.0], []))           # edgeless
+@example(_network([0.5, 7.0, 3.0], [(0, 0), (2, 2), (2, 2)]))  # self-loops only
+def test_matrix_assembly_equals_reference(net):
+    _assert_assembly_equals_reference(net)
+
+
+def test_sampled_matrices_equal_reference():
+    # one acceptance-size replicate with a hub, self-loops included
+    model = DegreeModel.poisson(100.0)
+    seed = replicate_seed(9400, 0)
+    net = sample_network(attach_hub(model.sample_degrees(2000, seed), 400.0),
+                         replicate_seed(seed, 1))
+    assert np.any(net.edge_i == net.edge_j)
+    _assert_assembly_equals_reference(net)
