@@ -29,7 +29,8 @@ from .errors import (
     PoleError,
 )
 
-NEWTON_TOL = 1e-14           # step size, relative to max(1, |h|), that ends a level
+NEWTON_TOL = 1e-14           # step size, relative to max(1, |h|), that ends the last level
+LEVEL_TOL = 1e-3             # the same for a level above the goal: its root only starts the next
 NEWTON_MAX_STEPS = 40        # Newton steps per homotopy level
 LEVEL_RATIO = 8.0            # Im z is divided by this between homotopy levels
 BLOCK_ENTRIES = 2 ** 14      # points x nodes per batched block, bounds peak memory
@@ -129,32 +130,41 @@ def _homotopy_newton(model: DegreeModel, z: np.ndarray) -> np.ndarray:
     or 1e-13 max(1, |Re z|) followed by a final step onto the real axis.  At
     each level Newton steps on f(h) = h - (1/c) sum w d / (z - d h) start
     from the previous level's root; only points whose last step exceeded
-    NEWTON_TOL max(1, |h|) take another, up to NEWTON_MAX_STEPS.  A solve's
-    cost is mostly per-level overhead, so the ratio is large: a grid at
-    Im z = 1e-6 takes 11 levels and about 40 Newton steps per point.
+    tol max(1, |h|) take another, up to NEWTON_MAX_STEPS.  The root of a
+    level above the point's goal only starts the next level, so tol is
+    LEVEL_TOL there and NEWTON_TOL at the goal.  A solve's cost is mostly
+    per-level overhead, so the ratio is large: a grid at Im z = 1e-6 takes
+    11 levels and about 19 Newton steps per point.
     """
     d = model.degrees
     wd = model.weights * d / model.mean_degree()
-    wdd = wd * d
+    wd_c, wdd_c = wd.astype(complex), (wd * d).astype(complex)
     goal = z.imag
     target = np.where(goal > 0.0, goal, 1e-13 * np.maximum(1.0, np.abs(z.real)))
     im = 10.0 * np.maximum(max(np.sqrt(model.moment(2)), 1.0), np.abs(z))
     h = 1.0 / (z.real + 1j * im)
+    buf = np.empty((z.size, d.size), dtype=complex)  # z - d h, then its powers
     todo = np.arange(z.size)  # points not yet solved at their goal
     while todo.size:
         zz = z.real[todo] + 1j * im[todo]
         hh = h[todo]
+        done = im[todo] == goal[todo]
+        tol = np.where(done, NEWTON_TOL, LEVEL_TOL)
         live = np.arange(todo.size)
         for _ in range(NEWTON_MAX_STEPS):
-            q = 1.0 / (zz[live, None] - np.multiply.outer(hh[live], d))
-            step = (hh[live] - q @ wd) / (1.0 - (q * q) @ wdd)
+            q = buf[:live.size]
+            np.multiply.outer(hh[live], d, out=q)
+            np.subtract(zz[live, None], q, out=q)
+            np.reciprocal(q, out=q)
+            g = q @ wd_c
+            np.square(q, out=q)
+            step = (hh[live] - g) / (1.0 - q @ wdd_c)
             hh[live] -= step
-            live = live[np.abs(step) > NEWTON_TOL * np.maximum(1.0, np.abs(hh[live]))]
+            live = live[np.abs(step) > tol[live] * np.maximum(1.0, np.abs(hh[live]))]
             if not live.size:
                 break
         h[todo] = hh
         level, t = im[todo], target[todo]
-        done = level == goal[todo]
         im[todo] = np.where(level > 1.5 * t, np.maximum(level / LEVEL_RATIO, t), goal[todo])
         todo = todo[~done]
     return h

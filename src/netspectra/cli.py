@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__, analytic, empirical
 from .degree_model import DegreeModel
 from .errors import (DenseCapError, MeanOverflowError, ModelValidationError,
-                     NetspectraError, NoDetachedEigenvalueError)
+                     NetspectraError, NoDetachedEigenvalueError, PoleError)
 from .svgplot import render_svg
 
 EXIT_OK = 0
@@ -317,9 +317,10 @@ def run(argv=None) -> int:
     except NoDetachedEigenvalueError as exc:
         print(f"absent result: {exc}", file=sys.stderr)
         return EXIT_ABSENT
-    except (ModelValidationError, DenseCapError, MeanOverflowError) as exc:
-        # an invalid model, an --n past the dense cap or degrees too large
-        # for --n are bad input, not numeric failures
+    except (ModelValidationError, DenseCapError, MeanOverflowError,
+            PoleError) as exc:
+        # an invalid model, an --n past the dense cap, degrees too large for
+        # --n or a --kn at a model degree are bad input, not numeric failures
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except NetspectraError as exc:

@@ -6,8 +6,6 @@ quadratic roots, finite differences).
 """
 from __future__ import annotations
 
-from functools import reduce
-
 import numpy as np
 from scipy.integrate import quad
 
@@ -71,27 +69,51 @@ def single_degree_h(z: complex, c: float) -> complex:
     return complex(roots[np.argmin(np.abs(roots))])
 
 
+def _cleared_roots(d: np.ndarray, w: np.ndarray, z: complex) -> np.ndarray:
+    # roots in h of  h prod_r (z - d_r h) - (1/c) sum_r w_r d_r prod_{s!=r} (z - d_s h),
+    # with prod_{s!=r} taken as (prod_{s<r}) (prod_{s>r})
+    c = float(w @ d)
+    factors = [np.array([-dr, z]) for dr in d]  # z - d_r h, descending in h
+    before = [np.array([1.0 + 0.0j])]
+    for f in factors[:-1]:
+        before.append(np.convolve(before[-1], f))
+    after = [np.array([1.0 + 0.0j])]
+    for f in factors[:0:-1]:
+        after.append(np.convolve(after[-1], f))
+    poly = np.append(np.convolve(before[-1], factors[-1]), 0.0)
+    for r in range(d.size):
+        poly[2:] -= (w[r] * d[r] / c) * np.convolve(before[r], after[-1 - r])
+    return np.roots(poly)
+
+
 def physical_root(degrees: np.ndarray, weights: np.ndarray, z: complex) -> complex:
-    """The root with Im h < 0 of the cleared self-consistency equation, Im z > 0.
+    """The physical root of the cleared self-consistency equation, Im z >= 0.
 
     Clearing denominators in h = (1/c) sum_r w_r d_r / (z - d_r h) gives the
     polynomial  h prod_r (z - d_r h) - (1/c) sum_r w_r d_r prod_{s!=r} (z - d_s h).
     For Im z > 0 the map h -> (1/c) sum w d / (z - d h) sends the lower half
-    plane into itself, so by Schwarz-Pick it has at most one fixed point there.
+    plane into itself, so by Schwarz-Pick it has at most one fixed point
+    there.  Near the real axis outside the band every root is real to
+    roundoff and the sign of Im h cannot pick it, so the root is followed
+    instead: it is the unique root with Im h < 0 at z + i, and the added
+    imaginary part is then divided by 4 per step, to 1e-3 Im z (or to
+    1e-15 max(1, |z|) for real z) and finally to 0, each step taking the
+    root nearest the last.
     """
     d, w = np.asarray(degrees, dtype=float), np.asarray(weights, dtype=float)
-    c = float(w @ d)
     z = complex(z)
-    factors = [np.array([-dr, z]) for dr in d]  # z - d_r h, descending in h
-    poly = np.polymul([1.0, 0.0], reduce(np.polymul, factors))
-    for r in range(d.size):
-        rest = reduce(np.polymul, factors[:r] + factors[r + 1:],
-                      np.array([1.0 + 0.0j]))
-        poly = np.polysub(poly, (w[r] * d[r] / c) * rest)
-    roots = np.roots(poly)
+    roots = _cleared_roots(d, w, z + 1j)
     below = roots[roots.imag < 0.0]
-    assert below.size == 1, f"{below.size} roots with Im h < 0 at z={z!r}"
-    return complex(below[0])
+    assert below.size == 1, f"{below.size} roots with Im h < 0 at z={z + 1j!r}"
+    h = complex(below[0])
+    stop = 1e-3 * z.imag if z.imag > 0.0 else 1e-15 * max(1.0, abs(z))
+    s = 0.25
+    while True:
+        roots = _cleared_roots(d, w, z + 1j * s)
+        h = complex(roots[np.argmin(np.abs(roots - h))])
+        if s == 0.0:
+            return h
+        s = 0.25 * s if s > stop else 0.0
 
 
 def central_difference(f, x: float, h: float) -> float:

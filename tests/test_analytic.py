@@ -186,12 +186,11 @@ def test_density_grid_matches_pointwise_solve(two_degree_model):
 
 
 def test_level_ratio_stress():
-    # the homotopy's level ratio on hard models: 2-12 atoms with degree
-    # ratios up to 1000:1, near the real axis and away from it.  Far outside
-    # the band at eta = 1e-9 every root is real to roundoff and the oracle
-    # cannot pick the one with Im h < 0, so the points stay within 1.2 band
-    # edges.
-    rng = np.random.default_rng(1000)
+    # the homotopy's level ratio and loose intermediate levels on hard
+    # models: 2-12 atoms with degree ratios up to 1000:1, near the real axis
+    # and away from it, out to 3 band edges, and on the real axis outside
+    # the band, where every root is real to roundoff
+    rng, points = np.random.default_rng(1000), np.random.default_rng(1001)
     for _ in range(12):
         n_atoms = int(rng.integers(2, 13))
         lo = rng.uniform(1.0, 50.0)
@@ -201,8 +200,10 @@ def test_level_ratio_stress():
         weights /= weights.sum()
         model = DegreeModel.from_atoms(list(zip(degrees, weights)))
         edge = band_edges(model)[1]
-        for eta in (1e-9, 1e-3):
-            z = rng.uniform(-1.2 * edge, 1.2 * edge, size=12) + 1j * eta
+        real = points.choice([-1.0, 1.0], size=6) * points.uniform(edge, 3.0 * edge, size=6)
+        for z in (points.uniform(-3.0 * edge, 3.0 * edge, size=12) + 1e-9j,
+                  points.uniform(-3.0 * edge, 3.0 * edge, size=12) + 1e-3j,
+                  real + 0j):
             h, _, _ = analytic._solve_h_batch(model, z)
             for zj, hj in zip(z, h):
                 assert abs(hj - physical_root(model.degrees, model.weights, zj)) < 1e-9
@@ -214,6 +215,20 @@ def test_level_ratio_stress():
     h, res, _ = analytic._solve_h_batch(mixture, curve.z + 1j * curve.eta)
     assert np.all(res < analytic.RESIDUAL_RTOL * np.maximum(1.0, np.abs(h)))
     assert curve.norm_defect < 5e-3
+
+
+def test_loose_levels_do_not_move_the_answer(monkeypatch):
+    # levels above the goal stop at LEVEL_TOL; converging them to NEWTON_TOL
+    # as well gives the same h and density on the 257-node benchmark grid
+    mixture = DegreeModel.from_spec(
+        {"atoms": [[30.0, 0.25]],
+         "continuous": {"kind": "uniform", "lo": 80.0, "hi": 120.0, "nodes": 256}})
+    z = np.linspace(-25.0, 25.0, 2001) + 1e-6j
+    h, _, rho = analytic._solve_h_batch(mixture, z)
+    monkeypatch.setattr(analytic, "LEVEL_TOL", analytic.NEWTON_TOL)
+    h_full, _, rho_full = analytic._solve_h_batch(mixture, z)
+    assert np.all(np.abs(h - h_full) <= 1e-13 * np.abs(h_full))
+    assert np.all(np.abs(rho - rho_full) <= 1e-15)
 
 
 # ---------------------------------------------------------------- density

@@ -200,10 +200,13 @@ def test_hub_out_without_sweep_is_usage_error(tmp_path, poisson_file, capsys):
     assert not out.exists()
 
 
-def test_hub_pole_is_numeric_failure(poisson_file, capsys):
+def test_hub_pole_is_usage_error(poisson_file, capsys):
+    # a hub degree at or below the largest model degree is an argument error
     code = run(["hub", str(poisson_file), "--kn", "50"])
-    assert code == 2
-    assert "numeric failure" in capsys.readouterr().err
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == ("error: hub degree 50.0 must strictly exceed the maximum "
+                   "model degree 100.0\n")
 
 
 def test_hub_sweep_csv(tmp_path, poisson_file):
