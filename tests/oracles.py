@@ -98,7 +98,8 @@ def physical_root(degrees: np.ndarray, weights: np.ndarray, z: complex) -> compl
     instead: it is the unique root with Im h < 0 at z + i, and the added
     imaginary part is then divided by 4 per step, to 1e-3 Im z (or to
     1e-15 max(1, |z|) for real z) and finally to 0, each step taking the
-    root nearest the last.
+    root nearest the last.  Where Im z > 0 and exactly one root at z has
+    Im h < 0, the followed root must be that one.
     """
     d, w = np.asarray(degrees, dtype=float), np.asarray(weights, dtype=float)
     z = complex(z)
@@ -112,6 +113,9 @@ def physical_root(degrees: np.ndarray, weights: np.ndarray, z: complex) -> compl
         roots = _cleared_roots(d, w, z + 1j * s)
         h = complex(roots[np.argmin(np.abs(roots - h))])
         if s == 0.0:
+            below = roots[roots.imag < 0.0]
+            if z.imag > 0.0 and below.size == 1:
+                assert h == below[0], f"followed root {h!r} is not {complex(below[0])!r} at z={z!r}"
             return h
         s = 0.25 * s if s > stop else 0.0
 

@@ -188,8 +188,10 @@ def test_density_grid_matches_pointwise_solve(two_degree_model):
 def test_level_ratio_stress():
     # the homotopy's level ratio and loose intermediate levels on hard
     # models: 2-12 atoms with degree ratios up to 1000:1, near the real axis
-    # and away from it, out to 3 band edges, and on the real axis outside
-    # the band, where every root is real to roundoff
+    # and away from it within 1.2 band edges, and, from a second generator
+    # so the first draws the same models and points as before, out to 3
+    # band edges and on the real axis outside the band, where every root is
+    # real to roundoff
     rng, points = np.random.default_rng(1000), np.random.default_rng(1001)
     for _ in range(12):
         n_atoms = int(rng.integers(2, 13))
@@ -200,8 +202,11 @@ def test_level_ratio_stress():
         weights /= weights.sum()
         model = DegreeModel.from_atoms(list(zip(degrees, weights)))
         edge = band_edges(model)[1]
+        near = [rng.uniform(-1.2 * edge, 1.2 * edge, size=12) + 1j * eta
+                for eta in (1e-9, 1e-3)]
         real = points.choice([-1.0, 1.0], size=6) * points.uniform(edge, 3.0 * edge, size=6)
-        for z in (points.uniform(-3.0 * edge, 3.0 * edge, size=12) + 1e-9j,
+        for z in (*near,
+                  points.uniform(-3.0 * edge, 3.0 * edge, size=12) + 1e-9j,
                   points.uniform(-3.0 * edge, 3.0 * edge, size=12) + 1e-3j,
                   real + 0j):
             h, _, _ = analytic._solve_h_batch(model, z)
