@@ -51,13 +51,4 @@ from .empirical import (
     write_eigenvalue_dump,
     write_histogram_csv,
 )
-from .errors import (
-    ConvergenceError,
-    DenseCapError,
-    InternalConsistencyError,
-    MeanOverflowError,
-    ModelValidationError,
-    NetspectraError,
-    NoDetachedEigenvalueError,
-    PoleError,
-)
+from .errors import NoDetachedEigenvalueError, NumericError

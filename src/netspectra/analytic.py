@@ -22,12 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from .degree_model import DegreeModel
-from .errors import (
-    ConvergenceError,
-    InternalConsistencyError,
-    NoDetachedEigenvalueError,
-    PoleError,
-)
+from .errors import NoDetachedEigenvalueError, NumericError
 
 NEWTON_TOL = 1e-14           # step size, relative to max(1, |h|), that ends the last level
 LEVEL_TOL = 1e-3             # the same for a level above the goal: its root only starts the next
@@ -179,10 +174,10 @@ def _finish(model: DegreeModel, z: np.ndarray, h: np.ndarray,
     accurate at z near 0.
 
     Raises:
-        ConvergenceError: a residual is not below RESIDUAL_RTOL * max(1, |h|).
-        InternalConsistencyError: a point with Im z > 0 is on a non-physical
-            branch: Im h above RESIDUAL_RTOL * max(1, |h|) (the physical
-            root has Im h < 0) or density below DENSITY_FLOOR.
+        NumericError: a residual is not below RESIDUAL_RTOL * max(1, |h|),
+            or a point with Im z > 0 is on a non-physical branch: Im h above
+            RESIDUAL_RTOL * max(1, |h|) (the physical root has Im h < 0) or
+            density below DENSITY_FLOOR.
     """
     d, w = model.degrees, model.weights
     q = 1.0 / (z[:, None] - np.multiply.outer(h, d))
@@ -191,14 +186,14 @@ def _finish(model: DegreeModel, z: np.ndarray, h: np.ndarray,
     bad = ~(res <= RESIDUAL_RTOL * np.maximum(1.0, np.abs(h)))  # NaN counts as bad
     if bad.any():
         i = int(np.argmax(bad))
-        raise ConvergenceError(
+        raise NumericError(
             f"solve for h stalled at z={complex(z[i])!r}: residual {res[i]:.3e} "
             f"via {method}")
     upper = h.imag > RESIDUAL_RTOL * np.maximum(1.0, np.abs(h))
     wrong = (z.imag > 0.0) & (upper | (rho < DENSITY_FLOOR))
     if wrong.any():
         i = int(np.argmax(wrong))
-        raise InternalConsistencyError(
+        raise NumericError(
             f"non-physical branch at z={complex(z[i])!r}: h={complex(h[i])!r}, "
             f"density {rho[i]:.3e}")
     return res, rho
@@ -209,9 +204,13 @@ def _solve_h_batch(model: DegreeModel,
     """h, residual and density rho = -Im g / pi at every point of z (Im z >= 0).
 
     Points are solved in blocks of BLOCK_ENTRIES // nodes, which bounds the
-    (points x nodes) work arrays and so the peak memory of long grids.
+    (points x nodes) work arrays and so the peak memory of long grids.  A
+    non-finite z raises ValueError: the homotopy never reaches a NaN goal.
     """
     z = np.asarray(z, dtype=complex)
+    bad = ~np.isfinite(z)
+    if bad.any():
+        raise ValueError(f"z={complex(z[bad][0])!r} is not finite")
     method = _route(model)
     h = np.empty_like(z)
     res = np.empty(z.shape)
@@ -241,8 +240,9 @@ def solve_h(model: DegreeModel, z: complex) -> HSolution:
         HSolution with residual below 1e-10 * max(1, |h|).
 
     Raises:
-        ConvergenceError: residual tolerance not reached.
-        InternalConsistencyError: the solution induces a negative density.
+        ValueError: z is not finite.
+        NumericError: residual tolerance not reached, or the solution
+            induces a negative density.
     """
     z = complex(z)
     if z.imag < 0:  # conjugate symmetry: solve mirrored, reflect back
@@ -265,7 +265,7 @@ def spectral_density(model: DegreeModel, z: float, eta: float) -> float:
     g = sum w / (z + i eta - d h); tiny negative values (above -1e-9) are
     clamped to zero.
     """
-    if eta <= 0:
+    if not eta > 0:  # NaN fails too
         raise ValueError("eta must be positive")
     _, _, rho = _solve_h_batch(model, np.array([complex(z, eta)]))
     return max(0.0, float(rho[0]))
@@ -285,7 +285,7 @@ def stieltjes_transform(model: DegreeModel, z: complex) -> complex:
     tol = max(1e-9 * max(1.0, abs(g)),
               50.0 * c * max(1.0, abs(sol.h)) * max(sol.residual, 1e-16) / abs(z))
     if abs(g - g_nodes) > tol:
-        raise InternalConsistencyError(
+        raise NumericError(
             f"Stieltjes forms disagree at z={z!r}: {abs(g - g_nodes):.3e}")
     return g
 
@@ -301,10 +301,12 @@ def density_grid(model: DegreeModel, z_min: float, z_max: float, points: int,
     """
     if not z_min < z_max:
         raise ValueError("need z_min < z_max")
+    if not np.isfinite(z_max - z_min):
+        raise ValueError("the span z_max - z_min must be finite")
     if points < 2:
         raise ValueError("need at least 2 grid points")
     eta = float(eta) if eta is not None else max(1e-9, (z_max - z_min) / (10.0 * points))
-    if eta <= 0:
+    if not eta > 0:  # NaN fails too
         raise ValueError("eta must be positive")
 
     grid = np.linspace(z_min, z_max, int(points))
@@ -433,7 +435,7 @@ def leading_eigenvalue(model: DegreeModel) -> float:
         z = float(np.sqrt(_hub_zsq(model, _bisect(f, u_c, hi))))
     sol = solve_h(model, complex(z))
     if abs((z - 1.0) * sol.h - 1.0) > 1e-8 * max(1.0, abs(z)):
-        raise InternalConsistencyError(
+        raise NumericError(
             f"candidate leading eigenvalue {z!r} fails (z-1) h(z) = 1")
     return float(z)
 
@@ -454,14 +456,18 @@ def _hub_pairs(model: DegreeModel, k_n: np.ndarray) -> tuple[float, np.ndarray]:
     by one batched cold solve of h at all of them.
 
     Raises:
-        PoleError: some k_n does not exceed every degree in the model.
-        InternalConsistencyError: some z fails h(z) = z / k_n.
+        ValueError: some k_n is not finite, or does not exceed every degree
+            in the model.
+        NumericError: some z fails h(z) = z / k_n.
     """
     k_n = np.asarray(k_n, dtype=float)
+    nonfinite = ~np.isfinite(k_n)
+    if nonfinite.any():
+        raise ValueError(f"hub degree {float(k_n[nonfinite][0])!r} must be finite")
     k_max = model.max_degree
     pole = k_n <= k_max * (1.0 + 1e-12)
     if pole.any():
-        raise PoleError(
+        raise ValueError(
             f"hub degree {float(k_n[pole][0])!r} must strictly exceed the "
             f"maximum model degree {k_max!r}")
     k_crit = hub_critical_degree(model)
@@ -472,7 +478,7 @@ def _hub_pairs(model: DegreeModel, k_n: np.ndarray) -> tuple[float, np.ndarray]:
     bad = ~(np.abs(h - want) <= 1e-8 * np.maximum(1.0, np.abs(h)))
     if bad.any():
         i = int(np.argmax(bad))
-        raise InternalConsistencyError(
+        raise NumericError(
             f"hub eigenvalue {float(z_up[i])!r} fails h(z) = z / k_n: "
             f"h={complex(h[i])!r} vs {float(want[i])!r}")
     z = np.full(k_n.shape, np.nan)
@@ -488,7 +494,8 @@ def hub_eigenvalues(model: DegreeModel, k_n: float) -> HubPrediction:
     exists=False with the band edge as the top of the spectrum.
 
     Raises:
-        PoleError: k_n does not exceed every degree in the model.
+        ValueError: k_n is not finite, or does not exceed every degree in
+            the model.
     """
     k_n = float(k_n)
     k_crit, z_plus = _hub_pairs(model, np.array([k_n]))
@@ -517,7 +524,7 @@ def _hub_localization(model: DegreeModel, k_n: float, z: float) -> tuple[float, 
     h_prime = f_z / (-f_h)
     vn_sq = 1.0 / (1.0 - k_n * h_prime)
     if not 0.0 <= vn_sq <= 1.0:
-        raise InternalConsistencyError(
+        raise NumericError(
             f"hub weight vn_sq={vn_sq!r} outside [0, 1]")
     excess_w = w * d / c
     vi_sq = vn_sq / (z * (1.0 - d / k_n)) ** 2

@@ -7,8 +7,11 @@ manifest next to its primary output that names each output file by its
 role; `replay` re-runs a manifest into a fresh directory, writes only
 inside it, and reproduces the same bytes.
 
-Exit codes: 0 success, 1 usage error, 2 numeric failure, 3 a well-defined
-quantity does not exist (e.g. no eigenvalue detached from the band).
+Exit codes: 0 success; 1 usage error, any ValueError (including an invalid
+model and a NaN or infinite argument), or an unreadable or malformed file;
+2 numeric failure, a NumericError (a missed residual bound or a broken
+identity); 3 a well-defined quantity does not exist, a
+NoDetachedEigenvalueError (e.g. no eigenvalue detached from the band).
 """
 from __future__ import annotations
 
@@ -22,8 +25,7 @@ import numpy as np
 
 from . import __version__, analytic, empirical
 from .degree_model import DegreeModel
-from .errors import (DenseCapError, MeanOverflowError, ModelValidationError,
-                     NetspectraError, NoDetachedEigenvalueError, PoleError)
+from .errors import NoDetachedEigenvalueError, NumericError
 from .svgplot import render_svg
 
 EXIT_OK = 0
@@ -317,19 +319,14 @@ def run(argv=None) -> int:
     except NoDetachedEigenvalueError as exc:
         print(f"absent result: {exc}", file=sys.stderr)
         return EXIT_ABSENT
-    except (ModelValidationError, DenseCapError, MeanOverflowError,
-            PoleError) as exc:
-        # an invalid model, an --n past the dense cap, degrees too large for
-        # --n or a --kn at a model degree are bad input, not numeric failures
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except NetspectraError as exc:
+    except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (OSError, KeyError, TypeError, ValueError) as exc:
-        # ValueError covers malformed JSON, non-numeric model entries and
-        # other rejected inputs; KeyError and TypeError cover a manifest
-        # or model file of the wrong shape; library errors were caught above
+        # ValueError is every rejected input: malformed JSON, an invalid
+        # model, a non-finite argument, an --n past the dense cap, degrees too
+        # large for --n or a --kn at a model degree; KeyError and TypeError
+        # cover a manifest or model file of the wrong shape
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

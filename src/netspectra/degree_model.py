@@ -16,8 +16,6 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .errors import ModelValidationError, PoleError
-
 WEIGHT_TOL = 1e-12
 ATOM_MERGE_RTOL = 1e-9
 DEFAULT_QUAD_NODES = 256
@@ -51,17 +49,18 @@ class DegreeModel:
     n_atoms: int = field(default=0)  # leading entries of `degrees` that are true atoms
 
     def __post_init__(self):
+        # every check is written so that a NaN fails it
         if self.degrees.size == 0:
-            raise ModelValidationError("degree model must have at least one node")
-        if np.any(self.degrees <= 0):
-            raise ModelValidationError("all degrees must be strictly positive")
-        if np.any(np.diff(self.degrees[: self.n_atoms]) <= 0):
-            raise ModelValidationError("atoms must be ascending and distinct")
-        if np.any(self.weights <= 0) or np.any(self.weights > 1):
-            raise ModelValidationError("weights must lie in (0, 1]")
+            raise ValueError("degree model must have at least one node")
+        if not np.all(self.degrees > 0):
+            raise ValueError("all degrees must be strictly positive")
+        if not np.all(np.diff(self.degrees[: self.n_atoms]) > 0):
+            raise ValueError("atoms must be ascending and distinct")
+        if not np.all((self.weights > 0) & (self.weights <= 1)):
+            raise ValueError("weights must lie in (0, 1]")
         total = float(self.weights.sum())
-        if abs(total - 1.0) > WEIGHT_TOL:
-            raise ModelValidationError(
+        if not abs(total - 1.0) <= WEIGHT_TOL:
+            raise ValueError(
                 f"weights must sum to 1 within {WEIGHT_TOL:g}, got {total!r}")
 
     # ---------------------------------------------------------------- builders
@@ -102,20 +101,20 @@ class DegreeModel:
         """
         if density is None:
             if not atoms:
-                raise ModelValidationError("need atoms, a density, or both")
+                raise ValueError("need atoms, a density, or both")
             return cls.from_atoms(atoms)
         if not (np.isfinite(lo) and np.isfinite(hi)):
-            raise ModelValidationError("continuous support must be finite")
+            raise ValueError("continuous support must be finite")
         if not (hi > lo >= 0.0):
-            raise ModelValidationError("continuous support needs hi > lo >= 0")
+            raise ValueError("continuous support needs hi > lo >= 0")
         if nodes < 2:
-            raise ModelValidationError("quadrature needs at least 2 nodes")
+            raise ValueError("quadrature needs at least 2 nodes")
 
         atom_d, atom_w = _merge_atoms(atoms) if atoms else (np.empty(0), np.empty(0))
         atom_mass = float(atom_w.sum())
         cont_mass = 1.0 - atom_mass
         if cont_mass <= WEIGHT_TOL:
-            raise ModelValidationError(
+            raise ValueError(
                 "atom weights leave no mass for the continuous part")
 
         x, wq = leggauss(int(nodes))
@@ -123,14 +122,14 @@ class DegreeModel:
         k = mid + half * x
         f = np.asarray(density(k), dtype=float)
         if np.any(f < 0) or not np.all(np.isfinite(f)):
-            raise ModelValidationError("density must be finite and non-negative")
+            raise ValueError("density must be finite and non-negative")
         w = wq * half * f
         s = w.sum()
         if s <= 0:
-            raise ModelValidationError("density integrates to zero on the support")
+            raise ValueError("density integrates to zero on the support")
         w *= cont_mass / s  # exact normalization; quadrature error folds in here
         if k[0] <= 0.0:
-            raise ModelValidationError("continuous support must stay positive")
+            raise ValueError("continuous support must stay positive")
 
         d_all = np.concatenate([atom_d, k])
         w_all = np.concatenate([atom_w, w])
@@ -160,24 +159,27 @@ class DegreeModel:
         tabulated kind only and are interpolated linearly; "lo"/"hi" default
         to the tabulated endpoints.  The continuous block receives the mass
         the atoms leave over.  A spec of any other shape raises
-        ModelValidationError.
+        ValueError.
         """
         if not isinstance(spec, dict):
-            raise ModelValidationError("model spec must be a JSON object")
+            raise ValueError("model spec must be a JSON object")
         try:
             atoms = [(float(d), float(p)) for d, p in spec.get("atoms", [])]
         except (TypeError, ValueError):
-            raise ModelValidationError(
+            raise ValueError(
                 "atoms must be a list of numeric [degree, weight] pairs") from None
         cont = spec.get("continuous")
         if cont is not None and not isinstance(cont, dict):
-            raise ModelValidationError("continuous must be a JSON object")
+            raise ValueError("continuous must be a JSON object")
         if cont is None:
             if not atoms:
-                raise ModelValidationError("model spec is empty")
+                raise ValueError("model spec is empty")
             return cls.from_atoms(atoms)
         ckind = cont.get("kind", "uniform")
-        nodes = int(cont.get("nodes", DEFAULT_QUAD_NODES))
+        try:
+            nodes = int(cont.get("nodes", DEFAULT_QUAD_NODES))
+        except OverflowError:  # int() of an infinite float
+            raise ValueError("nodes must be finite") from None
         if ckind == "uniform":
             lo, hi = float(cont["lo"]), float(cont["hi"])
             return cls.from_parts(atoms, lambda k: np.ones_like(k), lo, hi, nodes)
@@ -185,14 +187,14 @@ class DegreeModel:
             kk = np.asarray(cont["k"], dtype=float)
             ff = np.asarray(cont["density"], dtype=float)
             if kk.ndim != 1 or kk.shape != ff.shape or kk.size < 2:
-                raise ModelValidationError("tabulated part needs matching k/density arrays")
-            if np.any(np.diff(kk) <= 0):
-                raise ModelValidationError("tabulated k grid must be ascending")
+                raise ValueError("tabulated part needs matching k/density arrays")
+            if not np.all(np.diff(kk) > 0):
+                raise ValueError("tabulated k grid must be ascending")
             lo = float(cont.get("lo", kk[0]))
             hi = float(cont.get("hi", kk[-1]))
             dens = lambda x: np.interp(x, kk, ff, left=0.0, right=0.0)
             return cls.from_parts(atoms, dens, lo, hi, nodes)
-        raise ModelValidationError(f"unknown continuous kind {ckind!r}")
+        raise ValueError(f"unknown continuous kind {ckind!r}")
 
     @classmethod
     def from_file(cls, path: str | Path) -> "DegreeModel":
@@ -230,13 +232,13 @@ class DegreeModel:
 
         Real z is summed in real arithmetic and returns a float.  It must
         keep clear of every node; within a relative 1e-14 of a node the sum
-        is dominated by roundoff and a PoleError is raised.
+        is dominated by roundoff and a ValueError is raised.
         """
         z = complex(z)
         if z.imag == 0.0:
             gap = z.real - self.degrees
             if np.any(np.abs(gap) < 1e-14 * self.degrees):
-                raise PoleError(f"z={z.real!r} coincides with a degree node")
+                raise ValueError(f"z={z.real!r} coincides with a degree node")
             return float(np.sum(self.weights * self.degrees / gap))
         return complex(np.sum(self.weights * self.degrees / (z - self.degrees)))
 
@@ -288,15 +290,15 @@ class DegreeModel:
 
 def _merge_atoms(atoms: Sequence[tuple[float, float]]) -> tuple[np.ndarray, np.ndarray]:
     if not atoms:
-        raise ModelValidationError("at least one atom required")
+        raise ValueError("at least one atom required")
     pairs = sorted((float(d), float(p)) for d, p in atoms)
     d_out: list[float] = []
     w_out: list[float] = []
     for d, p in pairs:
         if d <= 0:
-            raise ModelValidationError("atom degrees must be positive")
+            raise ValueError("atom degrees must be positive")
         if not np.isfinite(d):
-            raise ModelValidationError("atom degrees must be finite")
+            raise ValueError("atom degrees must be finite")
         if d_out and abs(d - d_out[-1]) <= ATOM_MERGE_RTOL * d:
             w_out[-1] += p
         else:
@@ -317,9 +319,11 @@ class DegreeSequence:
     def from_values(cls, values: Sequence[float] | np.ndarray) -> "DegreeSequence":
         k = _as_readonly(np.asarray(values, dtype=float))
         if k.ndim != 1 or k.size == 0:
-            raise ModelValidationError("degree sequence must be a non-empty vector")
+            raise ValueError("degree sequence must be a non-empty vector")
+        if not np.all(np.isfinite(k)):
+            raise ValueError("expected degrees must be finite")
         if np.any(k <= 0):
-            raise ModelValidationError("expected degrees must be strictly positive")
+            raise ValueError("expected degrees must be strictly positive")
         return cls(k=k, n=int(k.size), two_m=float(k.sum()))
 
     def mean(self) -> float:

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import analytic
 from .degree_model import DegreeModel
-from .errors import ConvergenceError, DenseCapError, InternalConsistencyError
+from .errors import NumericError
 from .sampler import (SampledNetwork, attach_hub, densify_modularity,
                       dense_cap, sample_network)
 
@@ -81,7 +81,7 @@ def dense_symmetric_eigen(matrix: np.ndarray,
         raise ValueError("matrix must be square")
     n = m.shape[0]
     if n > dense_cap():
-        raise DenseCapError(f"n={n} exceeds the dense cap {dense_cap()}")
+        raise ValueError(f"n={n} exceeds the dense cap {dense_cap()}")
     scale = max(1.0, float(np.abs(m).max()))
     if float(np.abs(m - m.T).max()) > 1e-12 * scale:
         raise ValueError("matrix is not symmetric within tolerance")
@@ -92,10 +92,10 @@ def dense_symmetric_eigen(matrix: np.ndarray,
     tr, fro2 = float(np.trace(m)), float(np.vdot(m, m))
     ref = max(1.0, abs(tr), float(np.sum(np.abs(vals))))
     if abs(vals.sum() - tr) > 1e-8 * ref:
-        raise InternalConsistencyError("eigenvalue sum disagrees with trace")
+        raise NumericError("eigenvalue sum disagrees with trace")
     ref2 = max(1.0, fro2)
     if abs(np.sum(vals * vals) - fro2) > 1e-8 * ref2:
-        raise InternalConsistencyError(
+        raise NumericError(
             "eigenvalue square sum disagrees with Frobenius norm")
     return EigenReport(eigenvalues=vals, kind=kind)
 
@@ -114,7 +114,7 @@ def top_eigenpair(matvec: Callable[[np.ndarray], np.ndarray], n: int,
     network) gives (0.0, the normalized start vector).
 
     Raises:
-        ConvergenceError: ARPACK does not converge or fails, or its answer
+        NumericError: ARPACK does not converge or fails, or its answer
             misses the residual bound above (the tolerance is finer than
             the operator's eigenvalues can be resolved in floating point).
     """
@@ -136,15 +136,15 @@ def top_eigenpair(matvec: Callable[[np.ndarray], np.ndarray], n: int,
                            k=1, which="LA", v0=v0, tol=tol)
         lam, vec = float(vals[0]), vecs[:, 0]
     except ArpackNoConvergence as exc:
-        raise ConvergenceError(f"top eigenpair did not converge: {exc}") from exc
+        raise NumericError(f"top eigenpair did not converge: {exc}") from exc
     except ArpackError:
         # ARPACK rejects the zero operator (an edgeless network's adjacency),
         # of which the start vector is an eigenvector; the residual check
-        # below turns any other ARPACK failure into a ConvergenceError
+        # below turns any other ARPACK failure into a NumericError
         lam, vec = 0.0, v0 / np.linalg.norm(v0)
     res = float(np.linalg.norm(matvec(vec) - lam * vec))
     if res > tol * max(abs(lam), 1e-12):
-        raise ConvergenceError(
+        raise NumericError(
             f"top eigenpair stalled: residual {res:.3e} above tol {tol:g} "
             f"at eigenvalue {lam:.6g}")
     if vec[np.argmax(np.abs(vec))] < 0:

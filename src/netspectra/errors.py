@@ -1,35 +1,15 @@
-"""Exception types raised by netspectra."""
+"""Exception types raised by netspectra, one per failure exit code.
+
+Bad input raises the builtin ValueError (exit 1 at the command line).
+"""
 
 
-class NetspectraError(Exception):
-    """Base class for all netspectra errors."""
+class NumericError(RuntimeError):
+    """A computed quantity missed its bound or broke an identity: the solve
+    for h(z) or the top eigenpair missed its residual bound (e.g. at a
+    tolerance finer than the pair can be resolved in floating point), or a
+    result failed the identity it must satisfy."""
 
 
-class ModelValidationError(NetspectraError, ValueError):
-    """A degree model or degree sequence violates its invariants."""
-
-
-class PoleError(NetspectraError, ValueError):
-    """Evaluation requested at (or too near) a pole of an integrand."""
-
-
-class ConvergenceError(NetspectraError, RuntimeError):
-    """An iterative solve missed its residual bound: the self-consistency
-    solve for h(z), or the top eigenpair (e.g. at a tolerance finer than the
-    pair can be resolved in floating point)."""
-
-
-class NoDetachedEigenvalueError(NetspectraError, RuntimeError):
+class NoDetachedEigenvalueError(RuntimeError):
     """No real solution exists outside the spectral band."""
-
-
-class DenseCapError(NetspectraError, ValueError):
-    """Matrix order exceeds the configured dense-solver cap."""
-
-
-class MeanOverflowError(NetspectraError, ValueError):
-    """A pairwise edge-count mean is pathologically large for the size."""
-
-
-class InternalConsistencyError(NetspectraError, RuntimeError):
-    """A computed quantity violated a structural identity."""

@@ -33,7 +33,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .degree_model import DegreeSequence
-from .errors import DenseCapError, MeanOverflowError
 
 if TYPE_CHECKING:
     from scipy.sparse import csr_matrix
@@ -107,7 +106,7 @@ class SampledNetwork:
 
     def _check_dense_cap(self) -> None:
         if self.n > dense_cap():
-            raise DenseCapError(
+            raise ValueError(
                 f"n={self.n} exceeds the dense cap {dense_cap()}")
 
     def _add_edges(self, dense: np.ndarray) -> np.ndarray:
@@ -160,7 +159,7 @@ class ModularityView:
 def sample_network(degrees: DegreeSequence, seed: int) -> SampledNetwork:
     """Sample one network realization for the given expected degrees.
 
-    Deterministic per (degrees, seed).  Raises MeanOverflowError when some
+    Deterministic per (degrees, seed).  Raises ValueError when some
     pairwise mean k_i k_j / 2m exceeds n, which signals a degree sequence
     far outside the model's regime.
     """
@@ -169,7 +168,7 @@ def sample_network(degrees: DegreeSequence, seed: int) -> SampledNetwork:
     k, two_m = degrees.k, degrees.two_m
     k_max = float(k.max())
     if k_max * k_max / two_m > degrees.n:
-        raise MeanOverflowError(
+        raise ValueError(
             f"largest pairwise mean {k_max * k_max / two_m:.3g} exceeds n={degrees.n}")
 
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))

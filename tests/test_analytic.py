@@ -6,9 +6,8 @@ from scipy.integrate import quad
 
 from netspectra import (
     DegreeModel,
-    InternalConsistencyError,
     NoDetachedEigenvalueError,
-    PoleError,
+    NumericError,
     band_edges,
     density_grid,
     hub_critical_degree,
@@ -136,7 +135,7 @@ def test_finish_rejects_root_with_positive_imaginary_part(two_degree_model):
     d, w = two_degree_model.degrees, two_degree_model.weights
     assert abs(wrong - np.sum(w * d / (z - d * wrong)) / c) < 1e-14
     assert wrong.imag > 0.0
-    with pytest.raises(InternalConsistencyError):
+    with pytest.raises(NumericError, match="non-physical branch"):
         analytic._finish(two_degree_model, np.array([z]), np.array([wrong]),
                          "homotopy-newton")
 
@@ -290,6 +289,21 @@ def test_density_grid_validation(poisson100):
         density_grid(poisson100, 1.0, -1.0, 100)
     with pytest.raises(ValueError):
         density_grid(poisson100, -1.0, 1.0, 1)
+
+
+def test_non_finite_point_rejected(two_degree_model):
+    # the homotopy never reaches a NaN goal, so a NaN point used to hang
+    nan = float("nan")
+    with pytest.raises(ValueError, match="eta must be positive"):
+        spectral_density(two_degree_model, 1.0, nan)
+    with pytest.raises(ValueError, match="eta must be positive"):
+        density_grid(two_degree_model, -25.0, 25.0, 11, eta=nan)
+    with pytest.raises(ValueError, match="span z_max - z_min must be finite"):
+        density_grid(two_degree_model, -25.0, np.inf, 11)
+    with pytest.raises(ValueError, match="is not finite"):
+        spectral_density(two_degree_model, nan, 1e-3)
+    with pytest.raises(ValueError, match="is not finite"):
+        solve_h(two_degree_model, complex(1.0, np.inf))
 
 
 def test_density_grid_two_degree_moments(two_degree_model):
@@ -466,10 +480,18 @@ def test_hub_large_degree_sqrt(poisson100):
 
 
 def test_hub_pole_error(two_degree_model):
-    with pytest.raises(PoleError):
+    with pytest.raises(ValueError, match="must strictly exceed the maximum"):
         hub_eigenvalues(two_degree_model, 100.0)
-    with pytest.raises(PoleError):
+    with pytest.raises(ValueError, match="must strictly exceed the maximum"):
         hub_eigenvalues(two_degree_model, 99.0)
+
+
+@pytest.mark.parametrize("kn", [np.nan, np.inf])
+def test_hub_degree_must_be_finite(two_degree_model, kn):
+    with pytest.raises(ValueError, match=f"hub degree {kn!r} must be finite"):
+        hub_eigenvalues(two_degree_model, kn)
+    with pytest.raises(ValueError, match=f"hub degree {kn!r} must be finite"):
+        analytic._hub_pairs(two_degree_model, np.array([300.0, kn]))
 
 
 def test_hub_consistency_with_h(poisson100, two_degree_model):
@@ -484,9 +506,9 @@ def test_hub_check_fires_on_perturbed_candidate(monkeypatch, two_degree_model):
     zsq = analytic._hub_zsq
     monkeypatch.setattr(analytic, "_hub_zsq",
                         lambda model, k: zsq(model, k) * (1.0 + 1e-6) ** 2)
-    with pytest.raises(InternalConsistencyError):
+    with pytest.raises(NumericError, match=r"fails h\(z\) = z / k_n"):
         analytic._hub_pairs(two_degree_model, np.linspace(101.0, 400.0, 30))
-    with pytest.raises(InternalConsistencyError):
+    with pytest.raises(NumericError, match=r"fails h\(z\) = z / k_n"):
         hub_eigenvalues(two_degree_model, 300.0)
 
 

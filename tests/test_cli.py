@@ -13,7 +13,8 @@ import netspectra
 from netspectra import (DegreeModel, analytic, band_edges, empirical_density,
                         ensemble_hub_localization, ensemble_hub_top,
                         hub_eigenvalues, l1_distance)
-from netspectra.cli import EXIT_ABSENT, EXIT_OK, EXIT_USAGE, RunManifest, run
+from netspectra.cli import (EXIT_ABSENT, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE,
+                            RunManifest, run)
 from netspectra.sampler import DEFAULT_DENSE_CAP
 
 
@@ -67,6 +68,15 @@ def test_density_usage_errors(tmp_path, poisson_file):
                 "--points", "1", "--out", str(tmp_path / "x.csv")]) == EXIT_USAGE
     assert run(["density", str(poisson_file), "--zmin", "2", "--zmax", "1",
                 "--out", str(tmp_path / "x.csv")]) == EXIT_USAGE
+
+
+def test_density_nan_eta_is_usage_error(tmp_path, two_degree_file, capsys):
+    # a NaN eta used to hang the homotopy solve
+    out = tmp_path / "c.csv"
+    assert run(["density", str(two_degree_file), "--zmin", "-25", "--zmax", "25",
+                "--points", "11", "--eta", "nan", "--out", str(out)]) == EXIT_USAGE
+    assert capsys.readouterr() == ("", "error: eta must be positive\n")
+    assert [p.name for p in tmp_path.iterdir()] == [two_degree_file.name]
 
 
 def test_unknown_flag_exits_one(poisson_file):
@@ -207,6 +217,32 @@ def test_hub_pole_is_usage_error(poisson_file, capsys):
     err = capsys.readouterr().err
     assert err == ("error: hub degree 50.0 must strictly exceed the maximum "
                    "model degree 100.0\n")
+
+
+@pytest.mark.parametrize("flags, value", [
+    (["--kn", "nan"], "nan"),
+    (["--kn", "inf"], "inf"),
+    (["--sweep", "110:nan:3", "--out", "s.csv"], "nan"),
+], ids=["kn-nan", "kn-inf", "sweep-nan"])
+def test_non_finite_hub_degree_is_usage_error(tmp_path, two_degree_file, capsys,
+                                              monkeypatch, flags, value):
+    monkeypatch.chdir(tmp_path)
+    assert run(["hub", str(two_degree_file), *flags]) == EXIT_USAGE
+    assert capsys.readouterr() == ("", f"error: hub degree {value} must be finite\n")
+    assert [p.name for p in tmp_path.iterdir()] == [two_degree_file.name]
+
+
+def test_broken_identity_is_numeric_failure(two_degree_file, capsys,
+                                            monkeypatch):
+    # a candidate z off by a relative 1e-6 fails the check h(z) = z / k_n
+    zsq = analytic._hub_zsq
+    monkeypatch.setattr(analytic, "_hub_zsq",
+                        lambda model, k: zsq(model, k) * (1.0 + 1e-6) ** 2)
+    assert run(["hub", str(two_degree_file), "--kn", "400"]) == EXIT_NUMERIC
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("numeric failure: hub eigenvalue ")
+    assert err.count("\n") == 1
 
 
 def test_hub_sweep_csv(tmp_path, poisson_file):
@@ -421,6 +457,10 @@ def test_non_numeric_model_entry_is_usage_error(tmp_path, capsys, atoms):
     ([[100.0, 1.0]], "model spec must be a JSON object"),
     ({"atoms": [100.0, 1.0]}, "[degree, weight] pairs"),
     ({"continuous": [60.0, 140.0]}, "continuous must be a JSON object"),
+    # json writes and reads the NaN literal
+    ({"atoms": [[50.0, 0.5], [100.0, float("nan")]]}, "weights must lie in (0, 1]"),
+    ({"continuous": {"kind": "uniform", "lo": 80.0, "hi": 120.0,
+                     "nodes": float("inf")}}, "nodes must be finite"),
 ])
 def test_invalid_model_is_usage_error(tmp_path, capsys, spec, message):
     bad = tmp_path / "bad.json"

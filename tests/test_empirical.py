@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from netspectra import (
-    ConvergenceError,
     DegreeModel,
-    InternalConsistencyError,
+    NumericError,
     attach_hub,
     dense_symmetric_eigen,
     densify_modularity,
@@ -117,7 +116,7 @@ def test_top_eigenpair_stagnates_when_tol_unreachable():
     # a tight cluster leaves the residual floor above an extreme tolerance
     d = np.linspace(1.0 - 1e-9, 1.0, 400)
     mv = lambda x: d * x
-    with pytest.raises(ConvergenceError):
+    with pytest.raises(NumericError, match="top eigenpair stalled"):
         top_eigenpair(mv, d.size, tol=1e-16)
 
 
@@ -174,7 +173,9 @@ def test_top_eigenpair_arpack_failure_is_stagnation(monkeypatch, failure):
         raise sla.ArpackError(-8)
 
     monkeypatch.setattr(sla, "eigsh", failing_eigsh)
-    with pytest.raises(ConvergenceError):
+    message = {"no_convergence": "top eigenpair did not converge",
+               "arpack_error": "top eigenpair stalled"}[failure]
+    with pytest.raises(NumericError, match=message):
         top_eigenpair(lambda x: 2.0 * x, 10, tol=1e-8)
 
 

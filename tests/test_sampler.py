@@ -9,8 +9,6 @@ from hypothesis import strategies as st
 from netspectra import (
     DegreeModel,
     DegreeSequence,
-    DenseCapError,
-    MeanOverflowError,
     SampledNetwork,
     attach_hub,
     dense_symmetric_eigen,
@@ -169,7 +167,7 @@ def test_two_hubs_recovered_empirically():
 
 
 def test_mean_overflow_guard():
-    with pytest.raises(MeanOverflowError):
+    with pytest.raises(ValueError, match="largest pairwise mean"):
         sample_network(DegreeSequence.from_values([1.0, 1.0, 100.0]), seed=0)
 
 
@@ -177,9 +175,9 @@ def test_dense_cap_enforced(monkeypatch):
     monkeypatch.setenv("NETSPECTRA_DENSE_CAP", "10")
     seq = DegreeSequence.from_values(np.full(20, 5.0))
     net = sample_network(seq, seed=0)
-    with pytest.raises(DenseCapError):
+    with pytest.raises(ValueError, match="exceeds the dense cap"):
         net.adjacency_dense()
-    with pytest.raises(DenseCapError):
+    with pytest.raises(ValueError, match="exceeds the dense cap"):
         densify_modularity(net.modularity_view())
     monkeypatch.setenv("NETSPECTRA_DENSE_CAP", "32")
     assert net.adjacency_dense().shape == (20, 20)
