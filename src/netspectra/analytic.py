@@ -267,6 +267,8 @@ def spectral_density(model: DegreeModel, z: float, eta: float) -> float:
     """
     if not eta > 0:  # NaN fails too
         raise ValueError("eta must be positive")
+    if eta == np.inf:  # z + i eta would not be finite
+        raise ValueError("eta must be finite")
     _, _, rho = _solve_h_batch(model, np.array([complex(z, eta)]))
     return max(0.0, float(rho[0]))
 
@@ -308,6 +310,8 @@ def density_grid(model: DegreeModel, z_min: float, z_max: float, points: int,
     eta = float(eta) if eta is not None else max(1e-9, (z_max - z_min) / (10.0 * points))
     if not eta > 0:  # NaN fails too
         raise ValueError("eta must be positive")
+    if eta == np.inf:  # z + i eta would not be finite
+        raise ValueError("eta must be finite")
 
     grid = np.linspace(z_min, z_max, int(points))
     _, _, rho = _solve_h_batch(model, grid + 1j * eta)
@@ -456,8 +460,8 @@ def _hub_pairs(model: DegreeModel, k_n: np.ndarray) -> tuple[float, np.ndarray]:
     by one batched cold solve of h at all of them.
 
     Raises:
-        ValueError: some k_n is not finite, or does not exceed every degree
-            in the model.
+        ValueError: some k_n is not finite, does not exceed every degree
+            in the model, or is so large that z^2 overflows.
         NumericError: some z fails h(z) = z / k_n.
     """
     k_n = np.asarray(k_n, dtype=float)
@@ -472,7 +476,13 @@ def _hub_pairs(model: DegreeModel, k_n: np.ndarray) -> tuple[float, np.ndarray]:
             f"maximum model degree {k_max!r}")
     k_crit = hub_critical_degree(model)
     up = k_n > k_crit
-    z_up = np.sqrt([_hub_zsq(model, float(k)) for k in k_n[up]])
+    zsq = np.array([_hub_zsq(model, float(k)) for k in k_n[up]])
+    overflow = ~np.isfinite(zsq)
+    if overflow.any():
+        raise ValueError(
+            f"hub degree {float(k_n[up][overflow][0])!r} is too large: its "
+            f"eigenvalue z^2 = k_n^2 G(k_n) / c overflows")
+    z_up = np.sqrt(zsq)
     h, _, _ = _solve_h_batch(model, z_up)
     want = z_up / k_n[up]
     bad = ~(np.abs(h - want) <= 1e-8 * np.maximum(1.0, np.abs(h)))

@@ -1,8 +1,18 @@
 """Eigenvalue measurements on sampled networks and ensemble aggregation.
 
-Full spectra go through LAPACK's symmetric solver behind a report type that
-enforces the trace and Frobenius identities; it is bounded by the dense cap
-and used only where every eigenvalue is read (pooled spectra).  Ensembles
+Full spectra go through LAPACK's divide-and-conquer symmetric solver
+(dsyevd, eigenvalues only) behind a report type that enforces the trace and
+Frobenius identities; it is bounded by the dense cap and used only where
+every eigenvalue is read (pooled spectra).  The solver is SciPy's LAPACK,
+reached through the function pointer SciPy publishes for Cython and called
+through ctypes, which releases the interpreter lock for the call and lets
+it overwrite the matrix it is given.  Pooled spectra therefore run their
+replicates on a thread pool: each thread samples, assembles and solves one
+replicate in place.  The pool has min(replicates, cores // BLAS threads)
+workers, so it is one thread (the sequential case) when BLAS already uses
+every core, and it holds about workers * 8 n^2 bytes of matrices.  Every
+replicate has its own stream key and the pool keeps replicate order, so the
+pooled eigenvalues do not depend on the worker count.  Ensembles
 that read only the top of the spectrum get the top eigenpair at every size,
 computed matrix-free by ARPACK's implicitly restarted Lanczos (scipy's
 eigsh, asked for the algebraically largest eigenvalue) and accepted only on
@@ -16,6 +26,9 @@ reproducible and order-insensitive.
 """
 from __future__ import annotations
 
+import ctypes
+import functools
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -34,6 +47,14 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
 MATRIX_KINDS = ("adjacency", "modularity")
+
+# OpenBLAS takes its thread count from the first of these that is positive
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                     "OMP_NUM_THREADS")
+# rows per block of the symmetry check, so that it forms no n x n array
+SYMMETRY_BLOCK_ROWS = 64
+_INT_P = ctypes.POINTER(ctypes.c_int)
+_DOUBLE_P = ctypes.POINTER(ctypes.c_double)
 
 
 def replicate_seed(base_seed: int, r: int) -> int:
@@ -68,13 +89,21 @@ class EnsembleHistogram:
     base_seed: int
 
 
-def dense_symmetric_eigen(matrix: np.ndarray,
-                          kind: str = "modularity") -> EigenReport:
+def dense_symmetric_eigen(matrix: np.ndarray, kind: str = "modularity",
+                          overwrite_a: bool = False) -> EigenReport:
     """Full spectrum of a dense symmetric matrix.
 
     Validates symmetry on entry and the trace / Frobenius identities of the
-    returned eigenvalues to a relative 1e-8.  The top eigenpair alone comes
-    from `top_eigenpair`.
+    returned eigenvalues to a relative 1e-8.  Without overwrite_a the solve
+    runs on a copy; with it, a C-ordered writable float64 matrix is solved
+    in place and left destroyed.  The top eigenpair alone comes from
+    `top_eigenpair`.
+
+    Raises:
+        ValueError: the matrix is not square, exceeds the dense cap or is
+            not symmetric within 1e-12 of its largest magnitude, or kind is
+            unknown.
+        NumericError: LAPACK fails, or an identity above is broken.
     """
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -82,14 +111,18 @@ def dense_symmetric_eigen(matrix: np.ndarray,
     n = m.shape[0]
     if n > dense_cap():
         raise ValueError(f"n={n} exceeds the dense cap {dense_cap()}")
-    scale = max(1.0, float(np.abs(m).max()))
-    if float(np.abs(m - m.T).max()) > 1e-12 * scale:
-        raise ValueError("matrix is not symmetric within tolerance")
+    scale = max(1.0, abs(float(m.max())), abs(float(m.min())))
+    for lo in range(0, n, SYMMETRY_BLOCK_ROWS):
+        rows = slice(lo, lo + SYMMETRY_BLOCK_ROWS)
+        if float(np.abs(m[rows] - m[:, rows].T).max()) > 1e-12 * scale:
+            raise ValueError("matrix is not symmetric within tolerance")
     if kind not in MATRIX_KINDS:
         raise ValueError(f"kind must be one of {MATRIX_KINDS}")
 
-    vals = np.linalg.eigvalsh(m)
+    if not (overwrite_a and m.flags.c_contiguous and m.flags.writeable):
+        m = m.copy()
     tr, fro2 = float(np.trace(m)), float(np.vdot(m, m))
+    vals = _eigvals_in_place(m)
     ref = max(1.0, abs(tr), float(np.sum(np.abs(vals))))
     if abs(vals.sum() - tr) > 1e-8 * ref:
         raise NumericError("eigenvalue sum disagrees with trace")
@@ -98,6 +131,54 @@ def dense_symmetric_eigen(matrix: np.ndarray,
         raise NumericError(
             "eigenvalue square sum disagrees with Frobenius norm")
     return EigenReport(eigenvalues=vals, kind=kind)
+
+
+@functools.cache
+def _dsyevd() -> Callable[..., None]:
+    """LAPACK dsyevd from the pointer SciPy publishes in cython_lapack.
+
+    A CFUNCTYPE call releases the interpreter lock; the prototype is the
+    Cython declaration, whose integers are C ints.
+    """
+    # imported here: the analytic commands never solve a dense spectrum
+    from scipy.linalg import cython_lapack
+
+    capsule = cython_lapack.__pyx_capi__["dsyevd"]
+    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", ctypes.pythonapi))
+    get_pointer = ctypes.PYFUNCTYPE(
+        ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi))
+    address = get_pointer(capsule, get_name(capsule))
+    # jobz, uplo, n, a, lda, w, work, lwork, iwork, liwork, info
+    prototype = ctypes.CFUNCTYPE(None, ctypes.c_char_p, ctypes.c_char_p,
+                                 _INT_P, _DOUBLE_P, _INT_P, _DOUBLE_P,
+                                 _DOUBLE_P, _INT_P, _INT_P, _INT_P, _INT_P)
+    return prototype(address)
+
+
+def _eigvals_in_place(a: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the C-ordered symmetric float64 a, by dsyevd
+    (jobz N, uplo L) on its F-ordered transpose; a is overwritten."""
+    dsyevd = _dsyevd()
+    n = ctypes.c_int(a.shape[0])
+    w = np.empty(a.shape[0])
+
+    def call(work: np.ndarray, iwork: np.ndarray, lwork: int,
+             liwork: int) -> None:
+        info = ctypes.c_int(0)
+        dsyevd(b"N", b"L", n, a.ctypes.data_as(_DOUBLE_P), n,
+               w.ctypes.data_as(_DOUBLE_P), work.ctypes.data_as(_DOUBLE_P),
+               ctypes.c_int(lwork), iwork.ctypes.data_as(_INT_P),
+               ctypes.c_int(liwork), info)
+        if info.value != 0:
+            raise NumericError(f"LAPACK dsyevd failed: info={info.value}")
+
+    work, iwork = np.empty(1), np.empty(1, dtype=np.intc)
+    call(work, iwork, -1, -1)  # the query: sizes come back in work, iwork
+    lwork, liwork = int(work[0]), int(iwork[0])
+    call(np.empty(lwork), np.empty(liwork, dtype=np.intc), lwork, liwork)
+    return w
 
 
 def top_eigenpair(matvec: Callable[[np.ndarray], np.ndarray], n: int,
@@ -175,17 +256,49 @@ def _dense_matrix(net: SampledNetwork, kind: str) -> np.ndarray:
     raise ValueError(f"kind must be one of {MATRIX_KINDS}")
 
 
+def _replicate_workers(replicates: int) -> int:
+    """Threads for a replicate pool: min(replicates, cores // BLAS threads).
+
+    cores is this process's CPU affinity (the CPU count where that is not
+    available); BLAS threads is the first positive integer among
+    _BLAS_THREAD_VARS, and every core when none is set.
+    """
+    affinity = getattr(os, "sched_getaffinity", None)
+    cores = len(affinity(0)) if affinity is not None else os.cpu_count() or 1
+    blas = cores
+    for var in _BLAS_THREAD_VARS:
+        try:
+            value = int(os.environ.get(var, ""))
+        except ValueError:
+            continue
+        if value > 0:
+            blas = value
+            break
+    return max(1, min(replicates, cores // blas))
+
+
+def _replicate_spectrum(model: DegreeModel, n: int, base_seed: int, kind: str,
+                        r: int) -> np.ndarray:
+    net = _replicate_network(model, n, base_seed, r)
+    return dense_symmetric_eigen(_dense_matrix(net, kind), kind=kind,
+                                 overwrite_a=True).eigenvalues
+
+
 def pooled_spectra(model: DegreeModel, n: int, replicates: int,
                    base_seed: int, kind: str = "modularity") -> np.ndarray:
-    """All n * replicates eigenvalues, pooled in replicate order."""
+    """All n * replicates eigenvalues, pooled in replicate order.
+
+    Replicates are sampled, assembled and solved on `_replicate_workers`
+    threads; the result does not depend on their number.
+    """
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
-    pooled = []
-    for r in range(replicates):
-        net = _replicate_network(model, n, base_seed, r)
-        rep = dense_symmetric_eigen(_dense_matrix(net, kind), kind=kind)
-        pooled.append(rep.eigenvalues)
-    return np.concatenate(pooled)
+    # imported here: it loads logging, about 7 ms of every start-up
+    from concurrent.futures import ThreadPoolExecutor
+
+    solve = functools.partial(_replicate_spectrum, model, n, base_seed, kind)
+    with ThreadPoolExecutor(_replicate_workers(replicates)) as pool:
+        return np.concatenate(list(pool.map(solve, range(replicates))))
 
 
 def empirical_density(model: DegreeModel, n: int, replicates: int, bins: int,

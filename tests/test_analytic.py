@@ -298,6 +298,10 @@ def test_non_finite_point_rejected(two_degree_model):
         spectral_density(two_degree_model, 1.0, nan)
     with pytest.raises(ValueError, match="eta must be positive"):
         density_grid(two_degree_model, -25.0, 25.0, 11, eta=nan)
+    with pytest.raises(ValueError, match="eta must be finite"):
+        spectral_density(two_degree_model, 1.0, np.inf)
+    with pytest.raises(ValueError, match="eta must be finite"):
+        density_grid(two_degree_model, -25.0, 25.0, 11, eta=np.inf)
     with pytest.raises(ValueError, match="span z_max - z_min must be finite"):
         density_grid(two_degree_model, -25.0, np.inf, 11)
     with pytest.raises(ValueError, match="is not finite"):
@@ -492,6 +496,13 @@ def test_hub_degree_must_be_finite(two_degree_model, kn):
         hub_eigenvalues(two_degree_model, kn)
     with pytest.raises(ValueError, match=f"hub degree {kn!r} must be finite"):
         analytic._hub_pairs(two_degree_model, np.array([300.0, kn]))
+
+
+def test_hub_degree_overflow_named(two_degree_model):
+    with pytest.raises(ValueError, match="hub degree 1e\\+160 is too large"):
+        hub_eigenvalues(two_degree_model, 1e160)
+    with pytest.raises(ValueError, match="hub degree 1e\\+160 is too large"):
+        analytic._hub_pairs(two_degree_model, np.array([300.0, 1e160]))
 
 
 def test_hub_consistency_with_h(poisson100, two_degree_model):

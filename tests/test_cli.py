@@ -79,6 +79,26 @@ def test_density_nan_eta_is_usage_error(tmp_path, two_degree_file, capsys):
     assert [p.name for p in tmp_path.iterdir()] == [two_degree_file.name]
 
 
+@pytest.mark.parametrize("command, message", [
+    (["density", "--zmin", "-25", "--zmax", "25", "--points", "11",
+      "--eta", "inf", "--out", "c.csv"], "eta must be finite"),
+    (["hub", "--kn", "1e160"], "hub degree 1e+160 is too large"),
+    (["hub", "--kn", "1e160", "--empirical", "--n", "100", "--reps", "1"],
+     "hub degree 1e+160 is too large"),
+    (["hub", "--sweep", "110:1e160:3", "--out", "s.csv"],
+     "hub degree 5e+159 is too large"),
+], ids=["eta-inf", "kn-overflow", "kn-overflow-empirical", "sweep-overflow"])
+def test_overflowing_argument_is_named(tmp_path, two_degree_file, capsys,
+                                       monkeypatch, command, message):
+    # these used to report only the non-finite point z they led to
+    monkeypatch.chdir(tmp_path)
+    assert run([command[0], str(two_degree_file), *command[1:]]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+    assert [p.name for p in tmp_path.iterdir()] == [two_degree_file.name]
+
+
 def test_unknown_flag_exits_one(poisson_file):
     with pytest.raises(SystemExit) as exc:
         run(["density", str(poisson_file), "--bogus", "1"])

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
@@ -22,8 +24,11 @@ from netspectra import (
     write_eigenvalue_dump,
     write_histogram_csv,
 )
-from netspectra.empirical import (_dense_matrix, _hub_ensemble,
-                                  _replicate_network, _top_pair)
+from netspectra import empirical
+from netspectra.empirical import (MATRIX_KINDS, SYMMETRY_BLOCK_ROWS,
+                                  _BLAS_THREAD_VARS, _dense_matrix,
+                                  _hub_ensemble, _replicate_network,
+                                  _replicate_workers, _top_pair)
 from oracles import jacobi_eigenvalues
 
 
@@ -70,6 +75,38 @@ def test_asymmetric_rejected():
 def test_bad_kind_rejected():
     with pytest.raises(ValueError):
         dense_symmetric_eigen(np.eye(2), "laplacian")
+
+
+def _symmetric(n: int, seed: int) -> np.ndarray:
+    m = np.random.default_rng(seed).standard_normal((n, n))
+    return m + m.T
+
+
+def test_matches_eigvalsh_oracle():
+    m = _symmetric(300, 31)
+    ref = np.linalg.eigvalsh(m)
+    vals = dense_symmetric_eigen(m, "adjacency").eigenvalues
+    assert np.abs(vals - ref).max() <= 1e-10 * np.abs(ref).max()
+
+
+def test_input_unchanged_without_overwrite():
+    m = _symmetric(120, 8)
+    before = m.copy()
+    dense_symmetric_eigen(m, "adjacency")
+    assert np.array_equal(m, before)
+
+
+@pytest.mark.parametrize("row, col", [(1, 5), (299, 290)],
+                         ids=["first-block", "last-partial-block"])
+def test_asymmetry_rejected_in_any_row_block(row, col):
+    # both entries of the broken pair lie in one block, which alone can see it
+    m = _symmetric(300, 12)
+    assert 300 % SYMMETRY_BLOCK_ROWS != 0
+    blocks = {row // SYMMETRY_BLOCK_ROWS, col // SYMMETRY_BLOCK_ROWS}
+    assert blocks in ({0}, {300 // SYMMETRY_BLOCK_ROWS})
+    m[row, col] += 1e-9
+    with pytest.raises(ValueError, match="not symmetric"):
+        dense_symmetric_eigen(m, "adjacency", overwrite_a=True)
 
 
 # ---------------------------------------------------------------- top pair
@@ -192,6 +229,54 @@ def test_first_replicate_stable_under_more_reps(two_degree_model):
     one = pooled_spectra(two_degree_model, 120, 1, base_seed=50)
     two = pooled_spectra(two_degree_model, 120, 2, base_seed=50)
     assert np.array_equal(one, two[:120])
+
+
+@pytest.mark.parametrize("kind", MATRIX_KINDS)
+def test_pooled_spectra_independent_of_workers(monkeypatch, two_degree_model,
+                                               kind):
+    # 4 workers on 4 replicates: more threads than the cores of a small box
+    runs = []
+    for workers in (1, 2, 4):
+        monkeypatch.setattr(empirical, "_replicate_workers",
+                            lambda replicates, w=workers: w)
+        runs.append(pooled_spectra(two_degree_model, 150, 4, base_seed=21,
+                                   kind=kind))
+    assert runs[0].size == 600
+    assert all(np.array_equal(runs[0], other) for other in runs[1:])
+
+
+@pytest.mark.parametrize("env, cores, replicates, want", [
+    ({}, 2, 8, 1),
+    ({"OPENBLAS_NUM_THREADS": "1"}, 2, 8, 2),
+    ({"OPENBLAS_NUM_THREADS": "2"}, 2, 8, 1),
+    ({"OPENBLAS_NUM_THREADS": "3"}, 2, 8, 1),
+    ({"OMP_NUM_THREADS": "1"}, 4, 8, 4),
+    ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 4, 8, 2),
+    ({"GOTO_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 4, 8, 2),
+    ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 4, 8, 4),
+    ({"OPENBLAS_NUM_THREADS": "one", "GOTO_NUM_THREADS": "1"}, 4, 8, 4),
+    ({"OPENBLAS_NUM_THREADS": "-1"}, 4, 8, 1),
+    ({"OPENBLAS_NUM_THREADS": "1"}, 4, 1, 1),
+    ({"OPENBLAS_NUM_THREADS": "1"}, 4, 3, 3),
+], ids=["unset", "pinned", "two-blas", "blas-over-cores", "omp-alone",
+        "openblas-over-omp", "goto-over-omp", "zero-is-unset",
+        "non-integer-is-unset", "negative-is-unset", "one-replicate",
+        "fewer-replicates"])
+def test_replicate_workers(monkeypatch, env, cores, replicates, want):
+    for var in _BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)),
+                        raising=False)
+    assert _replicate_workers(replicates) == want
+
+
+def test_replicate_workers_without_affinity(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    assert _replicate_workers(8) == 3
 
 
 def test_histogram_normalization(two_degree_model):
