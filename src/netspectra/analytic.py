@@ -120,8 +120,9 @@ def _route(model: DegreeModel) -> str:
 def _homotopy_newton(model: DegreeModel, z: np.ndarray) -> np.ndarray:
     """h at every point of z (Im z >= 0) by Newton steps along a vertical homotopy.
 
-    Each point starts at Im = 10 max(sqrt(<d^2>), |z|, 1), where h = 1/z, and
-    divides Im z by LEVEL_RATIO per level down to its target: Im z itself,
+    Each point starts at Im = 10 max(sqrt(<d^2>), min(|z|, 1e307), 1), where
+    h = 1/z, and divides Im z by LEVEL_RATIO per level down to its target
+    (or goes up to a goal above the start): Im z itself,
     or 1e-13 max(1, |Re z|) followed by a final step onto the real axis.  At
     each level Newton steps on f(h) = h - (1/c) sum w d / (z - d h) start
     from the previous level's root; only points whose last step exceeded
@@ -136,7 +137,8 @@ def _homotopy_newton(model: DegreeModel, z: np.ndarray) -> np.ndarray:
     wd_c, wdd_c = wd.astype(complex), (wd * d).astype(complex)
     goal = z.imag
     target = np.where(goal > 0.0, goal, 1e-13 * np.maximum(1.0, np.abs(z.real)))
-    im = 10.0 * np.maximum(max(np.sqrt(model.moment(2)), 1.0), np.abs(z))
+    switch = 1.5 * np.minimum(target, 1e307)  # a level above this is divided
+    im = 10.0 * np.maximum(max(np.sqrt(model.moment(2)), 1.0), np.minimum(np.abs(z), 1e307))
     h = 1.0 / (z.real + 1j * im)
     buf = np.empty((z.size, d.size), dtype=complex)  # z - d h, then its powers
     todo = np.arange(z.size)  # points not yet solved at their goal
@@ -160,7 +162,7 @@ def _homotopy_newton(model: DegreeModel, z: np.ndarray) -> np.ndarray:
                 break
         h[todo] = hh
         level, t = im[todo], target[todo]
-        im[todo] = np.where(level > 1.5 * t, np.maximum(level / LEVEL_RATIO, t), goal[todo])
+        im[todo] = np.where(level > switch[todo], np.maximum(level / LEVEL_RATIO, t), goal[todo])
         todo = todo[~done]
     return h
 

@@ -7,18 +7,19 @@ every eigenvalue is read (pooled spectra).  The solver is SciPy's LAPACK,
 reached through the function pointer SciPy publishes for Cython and called
 through ctypes, which releases the interpreter lock for the call and lets
 it overwrite the matrix it is given.  Pooled spectra therefore run their
-replicates on a thread pool: each thread samples, assembles and solves one
-replicate in place.  The pool has min(replicates, cores // BLAS threads)
-workers, so it is one thread (the sequential case) when BLAS already uses
-every core, and it holds about workers * 8 n^2 bytes of matrices.  Every
-replicate has its own stream key and the pool keeps replicate order, so the
-pooled eigenvalues do not depend on the worker count.  Ensembles
-that read only the top of the spectrum get the top eigenpair at every size,
-computed matrix-free by ARPACK's implicitly restarted Lanczos (scipy's
-eigsh, asked for the algebraically largest eigenvalue) and accepted only on
-its true residual.  A hub ensemble reads the top eigenvalue and the hub
-localization from the same eigenpair, so `hub --empirical` samples and
-solves each replicate once.
+replicates on min(replicates, cores) threads, each set to one OpenBLAS
+thread; each samples, assembles and solves one replicate in place, and the
+pool holds about workers * 8 n^2 bytes of matrices.  Every replicate has
+its own stream key and the pool keeps replicate order, so the pooled
+eigenvalues depend neither on the worker count nor on the BLAS setting
+(another CPU type may round differently).  Without OpenBLAS's per-thread
+setter the pool has one worker on the process's BLAS setting, which the
+eigenvalues then follow.  Ensembles that read only the top of the spectrum
+get the top eigenpair at every size, computed matrix-free by ARPACK's
+implicitly restarted Lanczos (scipy's eigsh, asked for the algebraically
+largest eigenvalue) and accepted only on its true residual.  A hub ensemble
+reads the top eigenvalue and the hub localization from the same eigenpair,
+so `hub --empirical` samples and solves each replicate once.
 
 Replicate r of an ensemble uses the seed splitmix64(base_seed + (r+1) * GOLDEN)
 with the published constants below, so replicates are independent,
@@ -48,9 +49,6 @@ _MIX2 = 0x94D049BB133111EB
 
 MATRIX_KINDS = ("adjacency", "modularity")
 
-# OpenBLAS takes its thread count from the first of these that is positive
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
-                     "OMP_NUM_THREADS")
 # rows per block of the symmetry check, so that it forms no n x n array
 SYMMETRY_BLOCK_ROWS = 64
 _INT_P = ctypes.POINTER(ctypes.c_int)
@@ -134,8 +132,10 @@ def dense_symmetric_eigen(matrix: np.ndarray, kind: str = "modularity",
 
 
 @functools.cache
-def _dsyevd() -> Callable[..., None]:
-    """LAPACK dsyevd from the pointer SciPy publishes in cython_lapack.
+def _lapack() -> tuple[Callable[..., None], Callable[[int], int] | None]:
+    """LAPACK dsyevd from the pointer SciPy publishes in cython_lapack, and
+    OpenBLAS's per-thread thread-count setter (None where absent), found by
+    a symbol search of cython_lapack's library, which covers its BLAS.
 
     A CFUNCTYPE call releases the interpreter lock; the prototype is the
     Cython declaration, whose integers are C ints.
@@ -154,13 +154,14 @@ def _dsyevd() -> Callable[..., None]:
     prototype = ctypes.CFUNCTYPE(None, ctypes.c_char_p, ctypes.c_char_p,
                                  _INT_P, _DOUBLE_P, _INT_P, _DOUBLE_P,
                                  _DOUBLE_P, _INT_P, _INT_P, _INT_P, _INT_P)
-    return prototype(address)
+    return prototype(address), getattr(ctypes.CDLL(cython_lapack.__file__),
+                                       "openblas_set_num_threads_local", None)
 
 
 def _eigvals_in_place(a: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of the C-ordered symmetric float64 a, by dsyevd
     (jobz N, uplo L) on its F-ordered transpose; a is overwritten."""
-    dsyevd = _dsyevd()
+    dsyevd = _lapack()[0]
     n = ctypes.c_int(a.shape[0])
     w = np.empty(a.shape[0])
 
@@ -251,30 +252,18 @@ def _replicate_network(model: DegreeModel, n: int, base_seed: int, r: int,
 def _dense_matrix(net: SampledNetwork, kind: str) -> np.ndarray:
     if kind == "adjacency":
         return net.adjacency_dense()
-    if kind == "modularity":
-        return densify_modularity(net.modularity_view())
-    raise ValueError(f"kind must be one of {MATRIX_KINDS}")
+    return densify_modularity(net.modularity_view())
 
 
 def _replicate_workers(replicates: int) -> int:
-    """Threads for a replicate pool: min(replicates, cores // BLAS threads).
-
-    cores is this process's CPU affinity (the CPU count where that is not
-    available); BLAS threads is the first positive integer among
-    _BLAS_THREAD_VARS, and every core when none is set.
-    """
+    """Threads for a replicate pool: min(replicates, cores), where cores is
+    this process's CPU affinity (the CPU count where that is not available);
+    one where BLAS has no per-thread setter."""
+    if _lapack()[1] is None:
+        return 1
     affinity = getattr(os, "sched_getaffinity", None)
     cores = len(affinity(0)) if affinity is not None else os.cpu_count() or 1
-    blas = cores
-    for var in _BLAS_THREAD_VARS:
-        try:
-            value = int(os.environ.get(var, ""))
-        except ValueError:
-            continue
-        if value > 0:
-            blas = value
-            break
-    return max(1, min(replicates, cores // blas))
+    return min(replicates, cores)
 
 
 def _replicate_spectrum(model: DegreeModel, n: int, base_seed: int, kind: str,
@@ -288,16 +277,22 @@ def pooled_spectra(model: DegreeModel, n: int, replicates: int,
                    base_seed: int, kind: str = "modularity") -> np.ndarray:
     """All n * replicates eigenvalues, pooled in replicate order.
 
-    Replicates are sampled, assembled and solved on `_replicate_workers`
-    threads; the result does not depend on their number.
+    Replicates are sampled, assembled and solved on min(replicates, cores)
+    threads, each first set to one OpenBLAS thread, in about workers * 8 n^2
+    bytes; the result is the same for every worker count and BLAS setting on
+    one CPU type.  Without a per-thread setter one worker solves on the
+    process's BLAS setting, which the result then follows.
     """
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
+    if kind not in MATRIX_KINDS:
+        raise ValueError(f"kind must be one of {MATRIX_KINDS}")
     # imported here: it loads logging, about 7 ms of every start-up
     from concurrent.futures import ThreadPoolExecutor
 
     solve = functools.partial(_replicate_spectrum, model, n, base_seed, kind)
-    with ThreadPoolExecutor(_replicate_workers(replicates)) as pool:
+    with ThreadPoolExecutor(_replicate_workers(replicates),
+                            initializer=_lapack()[1], initargs=(1,)) as pool:
         return np.concatenate(list(pool.map(solve, range(replicates))))
 
 
@@ -335,9 +330,7 @@ def _top_pair(net: SampledNetwork, kind: str) -> tuple[float, np.ndarray]:
     if kind == "adjacency":
         adj = net.adjacency_sparse()
         return top_eigenpair(lambda x: adj @ x, net.n, tol=1e-8)
-    if kind == "modularity":
-        return top_eigenpair(net.modularity_view().matvec, net.n, tol=1e-6)
-    raise ValueError(f"kind must be one of {MATRIX_KINDS}")
+    return top_eigenpair(net.modularity_view().matvec, net.n, tol=1e-6)
 
 
 def _mean_stderr(tops: np.ndarray) -> tuple[float, float]:
@@ -352,6 +345,8 @@ def ensemble_leading(model: DegreeModel, n: int, replicates: int,
     each from the matrix-free top eigenpair (no dense cap on n)."""
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
+    if kind not in MATRIX_KINDS:
+        raise ValueError(f"kind must be one of {MATRIX_KINDS}")
     return _mean_stderr(np.array([
         _top_pair(_replicate_network(model, n, base_seed, r), kind)[0]
         for r in range(replicates)]))

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
 import pytest
 from hypothesis import settings
 
+import netspectra
 from netspectra import DegreeModel
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -30,3 +32,12 @@ def two_degree_model() -> DegreeModel:
 @pytest.fixture()
 def data_dir() -> Path:
     return DATA_DIR
+
+
+@pytest.fixture()
+def src_env() -> dict[str, str]:
+    """The environment with this checkout's netspectra first on PYTHONPATH,
+    for tests that run it in a fresh interpreter."""
+    src = Path(netspectra.__file__).resolve().parent.parent
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src), os.environ.get("PYTHONPATH", "")])}

@@ -1,15 +1,12 @@
 from __future__ import annotations
 
 import json
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import netspectra
 from netspectra import (DegreeModel, analytic, band_edges, empirical_density,
                         ensemble_hub_localization, ensemble_hub_top,
                         hub_eigenvalues, l1_distance)
@@ -79,6 +76,21 @@ def test_density_nan_eta_is_usage_error(tmp_path, two_degree_file, capsys):
     assert [p.name for p in tmp_path.iterdir()] == [two_degree_file.name]
 
 
+def test_density_huge_eta_returns(tmp_path, two_degree_file, src_env):
+    # eta = 1e308 used to start the homotopy at Im z = inf, which it never
+    # left; the subprocess timeout turns a hang into a failure
+    out = tmp_path / "c.csv"
+    done = subprocess.run(
+        [sys.executable, "-m", "netspectra.cli", "density",
+         str(two_degree_file), "--zmin", "-25", "--zmax", "25", "--points",
+         "11", "--eta", "1e308", "--out", str(out)],
+        env=src_env, capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stderr) == (EXIT_OK, "")
+    # far above the band g(z) = 1/z, so rho = 1 / (pi eta)
+    rho = [float(line.split(",")[1]) for line in out.read_text().splitlines()[1:]]
+    assert rho == pytest.approx([1.0 / (np.pi * 1e308)] * 11, rel=1e-12)
+
+
 @pytest.mark.parametrize("command, message", [
     (["density", "--zmin", "-25", "--zmax", "25", "--points", "11",
       "--eta", "inf", "--out", "c.csv"], "eta must be finite"),
@@ -125,16 +137,13 @@ def test_empirical_csv_and_l1(tmp_path, poisson_file, capsys):
     assert manifest["params"]["range"] == [lo - 2.0, hi + 2.0]
 
 
-def test_cli_import_loads_no_scipy():
+def test_cli_import_loads_no_scipy(src_env):
     # the analytic commands never need SciPy, and importing it would add
     # about 0.3 s to every start-up; the sampler and eigensolver import it
     # when they run
-    src = Path(netspectra.__file__).resolve().parent.parent
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [str(src), os.environ.get("PYTHONPATH", "")])}
     code = ("import sys, netspectra.cli; "
             "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
-    done = subprocess.run([sys.executable, "-c", code], env=env,
+    done = subprocess.run([sys.executable, "-c", code], env=src_env,
                           capture_output=True, text=True, check=True)
     assert done.stdout == "[]\n"
 

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -26,9 +28,9 @@ from netspectra import (
 )
 from netspectra import empirical
 from netspectra.empirical import (MATRIX_KINDS, SYMMETRY_BLOCK_ROWS,
-                                  _BLAS_THREAD_VARS, _dense_matrix,
-                                  _hub_ensemble, _replicate_network,
-                                  _replicate_workers, _top_pair)
+                                  _dense_matrix, _hub_ensemble,
+                                  _replicate_network, _replicate_workers,
+                                  _top_pair)
 from oracles import jacobi_eigenvalues
 
 
@@ -245,17 +247,18 @@ def test_pooled_spectra_independent_of_workers(monkeypatch, two_degree_model,
     assert all(np.array_equal(runs[0], other) for other in runs[1:])
 
 
+# each case sets BLAS thread variables, none of which may move the count
 @pytest.mark.parametrize("env, cores, replicates, want", [
-    ({}, 2, 8, 1),
+    ({}, 2, 8, 2),
     ({"OPENBLAS_NUM_THREADS": "1"}, 2, 8, 2),
-    ({"OPENBLAS_NUM_THREADS": "2"}, 2, 8, 1),
-    ({"OPENBLAS_NUM_THREADS": "3"}, 2, 8, 1),
+    ({"OPENBLAS_NUM_THREADS": "2"}, 2, 8, 2),
+    ({"OPENBLAS_NUM_THREADS": "3"}, 2, 8, 2),
     ({"OMP_NUM_THREADS": "1"}, 4, 8, 4),
-    ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 4, 8, 2),
-    ({"GOTO_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 4, 8, 2),
+    ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 4, 8, 4),
+    ({"GOTO_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 4, 8, 4),
     ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 4, 8, 4),
     ({"OPENBLAS_NUM_THREADS": "one", "GOTO_NUM_THREADS": "1"}, 4, 8, 4),
-    ({"OPENBLAS_NUM_THREADS": "-1"}, 4, 8, 1),
+    ({"OPENBLAS_NUM_THREADS": "-1"}, 4, 8, 4),
     ({"OPENBLAS_NUM_THREADS": "1"}, 4, 1, 1),
     ({"OPENBLAS_NUM_THREADS": "1"}, 4, 3, 3),
 ], ids=["unset", "pinned", "two-blas", "blas-over-cores", "omp-alone",
@@ -263,7 +266,9 @@ def test_pooled_spectra_independent_of_workers(monkeypatch, two_degree_model,
         "non-integer-is-unset", "negative-is-unset", "one-replicate",
         "fewer-replicates"])
 def test_replicate_workers(monkeypatch, env, cores, replicates, want):
-    for var in _BLAS_THREAD_VARS:
+    # min(replicates, cores) wherever BLAS has a per-thread setter
+    monkeypatch.setattr(empirical, "_lapack", lambda: (None, lambda k: 0))
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
         monkeypatch.delenv(var, raising=False)
     for var, value in env.items():
         monkeypatch.setenv(var, value)
@@ -273,10 +278,54 @@ def test_replicate_workers(monkeypatch, env, cores, replicates, want):
 
 
 def test_replicate_workers_without_affinity(monkeypatch):
+    monkeypatch.setattr(empirical, "_lapack", lambda: (None, lambda k: 0))
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     assert _replicate_workers(8) == 3
+    assert _replicate_workers(2) == 2
+
+
+def test_replicate_workers_without_thread_setter(monkeypatch):
+    monkeypatch.setattr(empirical, "_lapack", lambda: (None, None))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)),
+                        raising=False)
+    assert _replicate_workers(8) == 1
+
+
+@pytest.mark.parametrize("ensemble", [pooled_spectra, ensemble_leading],
+                         ids=["pooled_spectra", "ensemble_leading"])
+def test_ensemble_checks_kind_before_sampling(monkeypatch, two_degree_model,
+                                              ensemble):
+    def sample(*args, **kwargs):
+        raise AssertionError("sampled a network before checking kind")
+
+    monkeypatch.setattr(empirical, "sample_network", sample)
+    with pytest.raises(ValueError, match="kind must be one of"):
+        ensemble(two_degree_model, 50, 2, base_seed=1, kind="laplacian")
+
+
+_POOLED_HASH = """
+import hashlib
+from netspectra import DegreeModel, pooled_spectra
+from netspectra.empirical import _lapack
+model = DegreeModel.from_atoms([(50.0, 0.25), (100.0, 0.75)])
+values = pooled_spectra(model, 145, 2, base_seed=7)
+print(_lapack()[1] is not None, hashlib.sha256(values.tobytes()).hexdigest())
+"""
+
+
+def test_pooled_spectra_independent_of_blas_setting(src_env):
+    # n = 145: the smallest size at which a worker count and BLAS thread
+    # count that follow OPENBLAS_NUM_THREADS change the bytes
+    runs = [subprocess.run([sys.executable, "-c", _POOLED_HASH],
+                           env={**src_env, "OPENBLAS_NUM_THREADS": threads},
+                           capture_output=True, text=True,
+                           check=True).stdout.split()
+            for threads in ("1", "2")]
+    if runs[0][0] != "True":
+        pytest.skip("BLAS has no per-thread setter: the pool has one worker "
+                    "on the process's BLAS setting, which its bytes follow")
+    assert runs[0] == runs[1]
 
 
 def test_histogram_normalization(two_degree_model):
