@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -62,6 +63,13 @@ class RunManifest:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse before 3.13 takes -1e1 for an option, not a negative number
+        # as it does -25 and -.5; subparsers are made of this class too
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
     # argparse exits 2 on bad flags; the documented usage exit code is 1
     def error(self, message):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")

@@ -1,25 +1,33 @@
 """Eigenvalue measurements on sampled networks and ensemble aggregation.
 
-Full spectra go through LAPACK's divide-and-conquer symmetric solver
-(dsyevd, eigenvalues only) behind a report type that enforces the trace and
-Frobenius identities; it is bounded by the dense cap and used only where
-every eigenvalue is read (pooled spectra).  The solver is SciPy's LAPACK,
-reached through the function pointer SciPy publishes for Cython and called
-through ctypes, which releases the interpreter lock for the call and lets
-it overwrite the matrix it is given.  Pooled spectra therefore run their
+Full spectra go through LAPACK's two-stage symmetric eigenvalue solver
+(dsyevd_2stage, eigenvalues only: dense to band by BLAS-3 blocks, band to
+tridiagonal by bulge chasing, then dsterf) behind a report type that
+enforces the trace and Frobenius identities; it is bounded by the dense cap
+and used only where every eigenvalue is read (pooled spectra).  The solver
+is SciPy's LAPACK, found by a symbol search of SciPy's Cython LAPACK
+library; where no build exports the two-stage symbol, the
+divide-and-conquer dsyevd stands in, through the function pointer SciPy
+publishes for Cython.  The two-stage solver takes about 0.5 s per n = 2000
+solve on one BLAS thread, against dsyevd's 0.8 s.  Either is called through
+ctypes, which releases the interpreter lock for the call and lets it
+overwrite the matrix it is given.  Pooled spectra therefore run their
 replicates on min(replicates, cores) threads, each set to one OpenBLAS
 thread; each samples, assembles and solves one replicate in place, and the
-pool holds about workers * 8 n^2 bytes of matrices.  Every replicate has
-its own stream key and the pool keeps replicate order, so the pooled
-eigenvalues depend neither on the worker count nor on the BLAS setting
-(another CPU type may round differently).  Without OpenBLAS's per-thread
-setter the pool has one worker on the process's BLAS setting, which the
-eigenvalues then follow.  Ensembles that read only the top of the spectrum
-get the top eigenpair at every size, computed matrix-free by ARPACK's
-implicitly restarted Lanczos (scipy's eigsh, asked for the algebraically
-largest eigenvalue) and accepted only on its true residual.  A hub ensemble
-reads the top eigenvalue and the hub localization from the same eigenpair,
-so `hub --empirical` samples and solves each replicate once.
+pool holds about workers * (8 n^2 + workspace) bytes (the two-stage
+workspace is about 1.7 MB at n = 2000).  Every replicate has its own stream
+key and the pool keeps replicate order, so the pooled eigenvalues depend
+neither on the worker count nor on the BLAS setting (another CPU type may
+round differently).  Without OpenBLAS's per-thread setter the pool has one
+worker on the process's BLAS setting, which the eigenvalues then follow.
+On a LAPACK built with OpenMP, iparam2stage may choose the two-stage band
+width from the OpenMP thread count, and the eigenvalues follow that too.
+Ensembles that read only the top of the spectrum get the top eigenpair at
+every size, computed matrix-free by ARPACK's implicitly restarted Lanczos
+(scipy's eigsh, asked for the algebraically largest eigenvalue) and
+accepted only on its true residual.  A hub ensemble reads the top
+eigenvalue and the hub localization from the same eigenpair, so
+`hub --empirical` samples and solves each replicate once.
 
 Replicate r of an ensemble uses the seed splitmix64(base_seed + (r+1) * GOLDEN)
 with the published constants below, so replicates are independent,
@@ -53,6 +61,14 @@ MATRIX_KINDS = ("adjacency", "modularity")
 SYMMETRY_BLOCK_ROWS = 64
 _INT_P = ctypes.POINTER(ctypes.c_int)
 _DOUBLE_P = ctypes.POINTER(ctypes.c_double)
+# LAPACK's dsyevd_2stage from C: jobz, uplo, n, a, lda, w, work, lwork,
+# iwork, liwork, info, then the lengths of jobz and uplo that Fortran passes
+# unseen; the integers are C ints, as in SciPy's Cython declarations.  A
+# CFUNCTYPE call releases the interpreter lock.
+_SOLVER = ctypes.CFUNCTYPE(None, ctypes.c_char_p, ctypes.c_char_p, _INT_P,
+                           _DOUBLE_P, _INT_P, _DOUBLE_P, _DOUBLE_P, _INT_P,
+                           _INT_P, _INT_P, _INT_P, ctypes.c_size_t,
+                           ctypes.c_size_t)
 
 
 def replicate_seed(base_seed: int, r: int) -> int:
@@ -92,10 +108,15 @@ def dense_symmetric_eigen(matrix: np.ndarray, kind: str = "modularity",
     """Full spectrum of a dense symmetric matrix.
 
     Validates symmetry on entry and the trace / Frobenius identities of the
-    returned eigenvalues to a relative 1e-8.  Without overwrite_a the solve
-    runs on a copy; with it, a C-ordered writable float64 matrix is solved
-    in place and left destroyed.  The top eigenpair alone comes from
-    `top_eigenpair`.
+    returned eigenvalues to a relative 1e-8.  The solver is LAPACK's
+    two-stage dsyevd_2stage (dsyevd where no build exports it): at
+    n = 2000 on one BLAS thread it takes about 0.45-0.55 s against dsyevd's
+    0.8 s, and below n of about 800 it is a few ms slower.  Its eigenvalues
+    differ from dsyevd's in the last bits, so a manifest written by the
+    dsyevd route replays to slightly different eigenvalue bytes.  Without
+    overwrite_a the solve runs on a copy; with it, a C-ordered writable
+    float64 matrix is solved in place and left destroyed.  The top
+    eigenpair alone comes from `top_eigenpair`.
 
     Raises:
         ValueError: the matrix is not square, exceeds the dense cap or is
@@ -110,9 +131,11 @@ def dense_symmetric_eigen(matrix: np.ndarray, kind: str = "modularity",
     if n > dense_cap():
         raise ValueError(f"n={n} exceeds the dense cap {dense_cap()}")
     scale = max(1.0, abs(float(m.max())), abs(float(m.min())))
+    # each row block against the columns up to its end: every pair once
     for lo in range(0, n, SYMMETRY_BLOCK_ROWS):
-        rows = slice(lo, lo + SYMMETRY_BLOCK_ROWS)
-        if float(np.abs(m[rows] - m[:, rows].T).max()) > 1e-12 * scale:
+        hi = min(lo + SYMMETRY_BLOCK_ROWS, n)
+        gap = float(np.abs(m[lo:hi, :hi] - m[:hi, lo:hi].T).max())
+        if gap > 1e-12 * scale:
             raise ValueError("matrix is not symmetric within tolerance")
     if kind not in MATRIX_KINDS:
         raise ValueError(f"kind must be one of {MATRIX_KINDS}")
@@ -133,14 +156,33 @@ def dense_symmetric_eigen(matrix: np.ndarray, kind: str = "modularity",
 
 @functools.cache
 def _lapack() -> tuple[Callable[..., None], Callable[[int], int] | None]:
-    """LAPACK dsyevd from the pointer SciPy publishes in cython_lapack, and
-    OpenBLAS's per-thread thread-count setter (None where absent), found by
-    a symbol search of cython_lapack's library, which covers its BLAS.
-
-    A CFUNCTYPE call releases the interpreter lock; the prototype is the
-    Cython declaration, whose integers are C ints.
+    """LAPACK's dsyevd_2stage and OpenBLAS's per-thread thread-count setter
+    (None where absent), both found by a symbol search of cython_lapack's
+    library, which covers its LAPACK and BLAS.  Where no build exports
+    dsyevd_2stage, `_capsule_dsyevd` stands in.  The solver's __name__ is
+    the symbol it calls.
     """
     # imported here: the analytic commands never solve a dense spectrum
+    from scipy.linalg import cython_lapack
+
+    library = ctypes.CDLL(cython_lapack.__file__)
+    for name in ("scipy_dsyevd_2stage_", "dsyevd_2stage_"):
+        symbol = getattr(library, name, None)
+        if symbol is not None:
+            solver = ctypes.cast(symbol, _SOLVER)
+            solver.__name__ = name
+            break
+    else:
+        solver = _capsule_dsyevd()
+    return solver, getattr(library, "openblas_set_num_threads_local", None)
+
+
+def _capsule_dsyevd() -> Callable[..., None]:
+    """dsyevd from the pointer SciPy publishes in cython_lapack, under the
+    two-stage prototype: its arguments are dsyevd_2stage's without the two
+    trailing character lengths, and under the C calling conventions the
+    caller places and removes trailing arguments, so dsyevd never reads
+    them."""
     from scipy.linalg import cython_lapack
 
     capsule = cython_lapack.__pyx_capi__["dsyevd"]
@@ -149,31 +191,30 @@ def _lapack() -> tuple[Callable[..., None], Callable[[int], int] | None]:
     get_pointer = ctypes.PYFUNCTYPE(
         ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
         ("PyCapsule_GetPointer", ctypes.pythonapi))
-    address = get_pointer(capsule, get_name(capsule))
-    # jobz, uplo, n, a, lda, w, work, lwork, iwork, liwork, info
-    prototype = ctypes.CFUNCTYPE(None, ctypes.c_char_p, ctypes.c_char_p,
-                                 _INT_P, _DOUBLE_P, _INT_P, _DOUBLE_P,
-                                 _DOUBLE_P, _INT_P, _INT_P, _INT_P, _INT_P)
-    return prototype(address), getattr(ctypes.CDLL(cython_lapack.__file__),
-                                       "openblas_set_num_threads_local", None)
+    solver = _SOLVER(get_pointer(capsule, get_name(capsule)))
+    solver.__name__ = "dsyevd"
+    return solver
 
 
 def _eigvals_in_place(a: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of the C-ordered symmetric float64 a, by dsyevd
-    (jobz N, uplo L) on its F-ordered transpose; a is overwritten."""
-    dsyevd = _lapack()[0]
+    """Ascending eigenvalues of the C-ordered symmetric float64 a, by
+    `_lapack`'s solver (jobz N, uplo L) on its F-ordered transpose; a is
+    overwritten.  Both solvers size their workspace by a query call; the
+    two-stage one takes about 1.7 MB at n = 2000."""
+    solve = _lapack()[0]
     n = ctypes.c_int(a.shape[0])
     w = np.empty(a.shape[0])
 
     def call(work: np.ndarray, iwork: np.ndarray, lwork: int,
              liwork: int) -> None:
         info = ctypes.c_int(0)
-        dsyevd(b"N", b"L", n, a.ctypes.data_as(_DOUBLE_P), n,
-               w.ctypes.data_as(_DOUBLE_P), work.ctypes.data_as(_DOUBLE_P),
-               ctypes.c_int(lwork), iwork.ctypes.data_as(_INT_P),
-               ctypes.c_int(liwork), info)
+        solve(b"N", b"L", n, a.ctypes.data_as(_DOUBLE_P), n,
+              w.ctypes.data_as(_DOUBLE_P), work.ctypes.data_as(_DOUBLE_P),
+              ctypes.c_int(lwork), iwork.ctypes.data_as(_INT_P),
+              ctypes.c_int(liwork), info, 1, 1)
         if info.value != 0:
-            raise NumericError(f"LAPACK dsyevd failed: info={info.value}")
+            raise NumericError(
+                f"LAPACK {solve.__name__} failed: info={info.value}")
 
     work, iwork = np.empty(1), np.empty(1, dtype=np.intc)
     call(work, iwork, -1, -1)  # the query: sizes come back in work, iwork
@@ -278,10 +319,11 @@ def pooled_spectra(model: DegreeModel, n: int, replicates: int,
     """All n * replicates eigenvalues, pooled in replicate order.
 
     Replicates are sampled, assembled and solved on min(replicates, cores)
-    threads, each first set to one OpenBLAS thread, in about workers * 8 n^2
-    bytes; the result is the same for every worker count and BLAS setting on
-    one CPU type.  Without a per-thread setter one worker solves on the
-    process's BLAS setting, which the result then follows.
+    threads, each first set to one OpenBLAS thread, in about
+    workers * (8 n^2 + workspace) bytes; the result is the same for every
+    worker count and BLAS setting on one CPU type.  Without a per-thread
+    setter one worker solves on the process's BLAS setting, which the result
+    then follows.
     """
     if replicates < 1:
         raise ValueError("replicates must be >= 1")

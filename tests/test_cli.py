@@ -67,6 +67,19 @@ def test_density_usage_errors(tmp_path, poisson_file):
                 "--out", str(tmp_path / "x.csv")]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("zmin, value", [("-1e1", -10.0), ("-1.5e-3", -1.5e-3),
+                                         ("-.5", -0.5), ("-2.E+0", -2.0)])
+def test_negative_number_in_any_form_is_a_value(tmp_path, two_degree_file,
+                                                zmin, value):
+    # argparse used to take -1e1 for an option: "expected one argument"
+    out = tmp_path / "neg.csv"
+    assert run(["density", str(two_degree_file), "--zmin", zmin, "--zmax",
+                "1e1", "--points", "11", "--out", str(out)]) == EXIT_OK
+    assert float(out.read_text().splitlines()[1].split(",")[0]) == value
+    manifest = json.loads((tmp_path / "neg.csv.manifest.json").read_text())
+    assert manifest["params"]["zmin"] == value
+
+
 def test_density_nan_eta_is_usage_error(tmp_path, two_degree_file, capsys):
     # a NaN eta used to hang the homotopy solve
     out = tmp_path / "c.csv"

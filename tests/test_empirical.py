@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ctypes
 import os
 import subprocess
 import sys
@@ -91,6 +92,36 @@ def test_matches_eigvalsh_oracle():
     assert np.abs(vals - ref).max() <= 1e-10 * np.abs(ref).max()
 
 
+def test_dsyevd_fallback_matches_two_stage(monkeypatch, two_degree_model):
+    m = _symmetric(300, 31)
+    two_stage = dense_symmetric_eigen(m, "adjacency").eigenvalues
+    pooled = pooled_spectra(two_degree_model, 300, 2, base_seed=3)
+    # _lapack as a build without dsyevd_2stage sees it
+    capsule = empirical._capsule_dsyevd(), empirical._lapack()[1]
+    monkeypatch.setattr(empirical, "_lapack", lambda: capsule)
+    assert empirical._lapack()[0].__name__ == "dsyevd"
+    fallback = dense_symmetric_eigen(m, "adjacency").eigenvalues
+    assert (np.abs(fallback - two_stage).max()
+            <= 1e-10 * np.abs(two_stage).max())
+    pooled_fallback = pooled_spectra(two_degree_model, 300, 2, base_seed=3)
+    for r in range(2):
+        rows = slice(300 * r, 300 * (r + 1))
+        assert (np.abs(pooled_fallback[rows] - pooled[rows]).max()
+                <= 1e-10 * np.abs(pooled[rows]).max())
+
+
+def test_lapack_finds_two_stage_solver():
+    from scipy.linalg import cython_lapack
+
+    library = ctypes.CDLL(cython_lapack.__file__)
+    names = [name for name in ("scipy_dsyevd_2stage_", "dsyevd_2stage_")
+             if getattr(library, name, None) is not None]
+    if not names:
+        pytest.skip("the LAPACK behind SciPy exports no dsyevd_2stage: "
+                    "dense spectra fall back to dsyevd")
+    assert empirical._lapack()[0].__name__ == names[0]
+
+
 def test_input_unchanged_without_overwrite():
     m = _symmetric(120, 8)
     before = m.copy()
@@ -98,14 +129,17 @@ def test_input_unchanged_without_overwrite():
     assert np.array_equal(m, before)
 
 
-@pytest.mark.parametrize("row, col", [(1, 5), (299, 290)],
-                         ids=["first-block", "last-partial-block"])
+@pytest.mark.parametrize("row, col", [(1, 5), (299, 290), (3, 290)],
+                         ids=["first-block", "last-partial-block",
+                              "first-and-last-block"])
 def test_asymmetry_rejected_in_any_row_block(row, col):
-    # both entries of the broken pair lie in one block, which alone can see it
+    # the broken pair lies in the first block, the last, or across both, where
+    # only the last block's rows (against their transposed columns) see it
     m = _symmetric(300, 12)
     assert 300 % SYMMETRY_BLOCK_ROWS != 0
+    first, last = 0, 300 // SYMMETRY_BLOCK_ROWS
     blocks = {row // SYMMETRY_BLOCK_ROWS, col // SYMMETRY_BLOCK_ROWS}
-    assert blocks in ({0}, {300 // SYMMETRY_BLOCK_ROWS})
+    assert blocks in ({first}, {last}, {first, last})
     m[row, col] += 1e-9
     with pytest.raises(ValueError, match="not symmetric"):
         dense_symmetric_eigen(m, "adjacency", overwrite_a=True)
@@ -315,8 +349,8 @@ print(_lapack()[1] is not None, hashlib.sha256(values.tobytes()).hexdigest())
 
 
 def test_pooled_spectra_independent_of_blas_setting(src_env):
-    # n = 145: the smallest size at which a worker count and BLAS thread
-    # count that follow OPENBLAS_NUM_THREADS change the bytes
+    # n = 145: without the pool's per-thread setter, dsyevd_2stage (and dsyevd
+    # before it) gives different bytes at 1 and 2 BLAS threads at this size
     runs = [subprocess.run([sys.executable, "-c", _POOLED_HASH],
                            env={**src_env, "OPENBLAS_NUM_THREADS": threads},
                            capture_output=True, text=True,
