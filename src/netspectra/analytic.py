@@ -24,10 +24,9 @@ import numpy as np
 from .degree_model import DegreeModel
 from .errors import NoDetachedEigenvalueError, NumericError
 
-NEWTON_TOL = 1e-14           # step size, relative to max(1, |h|), that ends the last level
-LEVEL_TOL = 1e-3             # the same for a level above the goal: its root only starts the next
-NEWTON_MAX_STEPS = 40        # Newton steps per homotopy level
-LEVEL_RATIO = 8.0            # Im z is divided by this between homotopy levels
+NEWTON_TOL = 1e-14           # step size, relative to max(1, |h|), that ends the goal level
+NEWTON_MAX_STEPS = 40        # Newton steps at the goal level; a level above it takes one
+LEVEL_RATIO = 32.0           # Im z is divided by this between homotopy levels
 BLOCK_ENTRIES = 2 ** 14      # points x nodes per batched block, bounds peak memory
 RESIDUAL_RTOL = 1e-10        # HSolution acceptance: residual < tol * max(1, |h|)
 DENSITY_FLOOR = -1e-9        # pre-clamp density may not dip below this
@@ -122,42 +121,42 @@ def _homotopy_newton(model: DegreeModel, z: np.ndarray) -> np.ndarray:
 
     Each point starts at Im = 10 max(sqrt(<d^2>), min(|z|, 1e307), 1), where
     h = 1/z, and divides Im z by LEVEL_RATIO per level down to its target
-    (or goes up to a goal above the start): Im z itself,
-    or 1e-13 max(1, |Re z|) followed by a final step onto the real axis.  At
-    each level Newton steps on f(h) = h - (1/c) sum w d / (z - d h) start
-    from the previous level's root; only points whose last step exceeded
-    tol max(1, |h|) take another, up to NEWTON_MAX_STEPS.  The root of a
-    level above the point's goal only starts the next level, so tol is
-    LEVEL_TOL there and NEWTON_TOL at the goal.  A solve's cost is mostly
-    per-level overhead, so the ratio is large: a grid at Im z = 1e-6 takes
-    11 levels and about 19 Newton steps per point.
+    (or goes up to a goal above the start): Im z itself, or 1e-13 max(1, |Re z|)
+    followed by a final step onto the real axis.  At each level Newton steps on
+    f(h) = h - (1/c) sum w d / (z - d h) start from the previous level's root.
+    A level above the point's goal only starts the next one, so it takes one
+    Newton step; at the goal, points whose last step exceeded NEWTON_TOL
+    max(1, |h|) take another, up to NEWTON_MAX_STEPS.  A level's cost is mostly
+    overhead, so the ratio is large: a grid at Im z = 1e-6 takes 7 levels and
+    about 9 Newton steps per point.  Divisions take half-scale terms, as in
+    0.5 / ((z - d h) / 2), so none overflows near the largest float.
     """
     d = model.degrees
     wd = model.weights * d / model.mean_degree()
-    wd_c, wdd_c = wd.astype(complex), (wd * d).astype(complex)
+    half_d, wd_c, wdd_c = 0.5 * d, (0.5 * wd).astype(complex), (0.25 * wd * d).astype(complex)
     goal = z.imag
     target = np.where(goal > 0.0, goal, 1e-13 * np.maximum(1.0, np.abs(z.real)))
     switch = 1.5 * np.minimum(target, 1e307)  # a level above this is divided
     im = 10.0 * np.maximum(max(np.sqrt(model.moment(2)), 1.0), np.minimum(np.abs(z), 1e307))
-    h = 1.0 / (z.real + 1j * im)
-    buf = np.empty((z.size, d.size), dtype=complex)  # z - d h, then its powers
+    h = 0.5 / (0.5 * z.real + 0.5j * im)
+    buf = np.empty((z.size, d.size), dtype=complex)  # (z - d h) / 2, then its powers
     todo = np.arange(z.size)  # points not yet solved at their goal
     while todo.size:
-        zz = z.real[todo] + 1j * im[todo]
+        zz = 0.5 * z.real[todo] + 0.5j * im[todo]
         hh = h[todo]
         done = im[todo] == goal[todo]
-        tol = np.where(done, NEWTON_TOL, LEVEL_TOL)
         live = np.arange(todo.size)
         for _ in range(NEWTON_MAX_STEPS):
             q = buf[:live.size]
-            np.multiply.outer(hh[live], d, out=q)
+            np.multiply.outer(hh[live], half_d, out=q)
             np.subtract(zz[live, None], q, out=q)
             np.reciprocal(q, out=q)
             g = q @ wd_c
             np.square(q, out=q)
             step = (hh[live] - g) / (1.0 - q @ wdd_c)
             hh[live] -= step
-            live = live[np.abs(step) > tol[live] * np.maximum(1.0, np.abs(hh[live]))]
+            big = np.abs(step) > NEWTON_TOL * np.maximum(1.0, np.abs(hh[live]))
+            live = live[done[live] & big]
             if not live.size:
                 break
         h[todo] = hh
@@ -182,7 +181,7 @@ def _finish(model: DegreeModel, z: np.ndarray, h: np.ndarray,
             density below DENSITY_FLOOR.
     """
     d, w = model.degrees, model.weights
-    q = 1.0 / (z[:, None] - np.multiply.outer(h, d))
+    q = 0.5 / (0.5 * z[:, None] - np.multiply.outer(h, 0.5 * d))  # half scale: no overflow
     res = np.abs(h - q @ (w * d) / model.mean_degree())
     rho = -(q @ w).imag / np.pi
     bad = ~(res <= RESIDUAL_RTOL * np.maximum(1.0, np.abs(h)))  # NaN counts as bad

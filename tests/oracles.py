@@ -120,6 +120,37 @@ def physical_root(degrees: np.ndarray, weights: np.ndarray, z: complex) -> compl
         s = 0.25 * s if s > stop else 0.0
 
 
+def converged_homotopy_h(degrees: np.ndarray, weights: np.ndarray, z: np.ndarray,
+                         ratio: float = 8.0, tol: float = 1e-14,
+                         max_steps: int = 40) -> np.ndarray:
+    """h at every point of z (Im z > 0) by a vertical homotopy that converges every level.
+
+    Each point starts at Im = 10 max(sqrt(<d^2>), |z|, 1), where h = 1/z.
+    Im z is divided by ratio per level, never below the point's own Im z,
+    and a level within 1.5 times of it goes straight to it.  At every level,
+    not only the last, Newton's method on f(h) = h - (1/c) sum w d / (z - d h)
+    runs until each step is at most tol max(1, |h|), or max_steps.
+    """
+    d, w = np.asarray(degrees, dtype=float), np.asarray(weights, dtype=float)
+    z = np.asarray(z, dtype=complex)
+    assert np.all(z.imag > 0.0)
+    wd = w * d / float(w @ d)
+    goal = z.imag
+    level = 10.0 * np.maximum(max(np.sqrt(float(w @ d ** 2)), 1.0), np.abs(z))
+    h = 1.0 / (z.real + 1j * level)
+    while True:
+        at = z.real + 1j * level
+        for _ in range(max_steps):
+            q = 1.0 / (at[:, None] - np.outer(h, d))
+            step = (h - q @ wd) / (1.0 - (q * q) @ (wd * d))
+            h = h - step
+            if np.all(np.abs(step) <= tol * np.maximum(1.0, np.abs(h))):
+                break
+        if np.all(level == goal):
+            return h
+        level = np.where(level > 1.5 * goal, np.maximum(level / ratio, goal), goal)
+
+
 def central_difference(f, x: float, h: float) -> float:
     return (f(x + h) - f(x - h)) / (2.0 * h)
 

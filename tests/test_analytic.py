@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -24,6 +26,7 @@ from netspectra import (
 from netspectra import analytic
 from oracles import (
     central_difference,
+    converged_homotopy_h,
     leading_root,
     numeric_semicircle_cauchy,
     physical_root,
@@ -185,7 +188,7 @@ def test_density_grid_matches_pointwise_solve(two_degree_model):
 
 
 def test_level_ratio_stress():
-    # the homotopy's level ratio and loose intermediate levels on hard
+    # the homotopy's level ratio and one-step intermediate levels on hard
     # models: 2-12 atoms with degree ratios up to 1000:1, near the real axis
     # and away from it within 1.2 band edges, and, from a second generator
     # so the first draws the same models and points as before, out to 3
@@ -221,18 +224,60 @@ def test_level_ratio_stress():
     assert curve.norm_defect < 5e-3
 
 
-def test_loose_levels_do_not_move_the_answer(monkeypatch):
-    # levels above the goal stop at LEVEL_TOL; converging them to NEWTON_TOL
-    # as well gives the same h and density on the 257-node benchmark grid
+@pytest.mark.parametrize("eta", [1e-6, 1e-9])
+def test_one_step_levels_do_not_move_the_answer(eta):
+    # levels above the goal take one Newton step at ratio 32; ratio 8 with
+    # every level converged to NEWTON_TOL gives the same h and density on the
+    # 257-node benchmark grid
     mixture = DegreeModel.from_spec(
         {"atoms": [[30.0, 0.25]],
          "continuous": {"kind": "uniform", "lo": 80.0, "hi": 120.0, "nodes": 256}})
-    z = np.linspace(-25.0, 25.0, 2001) + 1e-6j
+    d, w = mixture.degrees, mixture.weights
+    z = np.linspace(-25.0, 25.0, 2001) + 1j * eta
     h, _, rho = analytic._solve_h_batch(mixture, z)
-    monkeypatch.setattr(analytic, "LEVEL_TOL", analytic.NEWTON_TOL)
-    h_full, _, rho_full = analytic._solve_h_batch(mixture, z)
+    h_full = converged_homotopy_h(d, w, z, tol=analytic.NEWTON_TOL)
+    rho_full = -np.sum(w / (z[:, None] - np.outer(h_full, d)), axis=1).imag / np.pi
     assert np.all(np.abs(h - h_full) <= 1e-13 * np.abs(h_full))
     assert np.all(np.abs(rho - rho_full) <= 1e-15)
+
+
+PANEL_SPECS = {
+    # the six models of the benchmark's analytic panel
+    "poisson100": {"atoms": [[100.0, 1.0]]},
+    "two_degree": {"atoms": [[50.0, 0.25], [100.0, 0.75]]},
+    "three_atom": {"atoms": [[40.0, 0.3], [80.0, 0.5], [160.0, 0.2]]},
+    "five_atom": {"atoms": [[30.0, 0.2], [60.0, 0.2], [90.0, 0.2],
+                            [120.0, 0.2], [150.0, 0.2]]},
+    "uniform64": {"continuous": {"kind": "uniform", "lo": 60.0, "hi": 140.0,
+                                 "nodes": 64}},
+    "mixture": {"atoms": [[30.0, 0.25]],
+                "continuous": {"kind": "uniform", "lo": 80.0, "hi": 120.0,
+                               "nodes": 256}},
+}
+
+
+@pytest.mark.parametrize("eta", [1e-6, 1e-9])
+@pytest.mark.parametrize("name", list(PANEL_SPECS))
+def test_panel_grids_solve(name, eta):
+    # the homotopy schedule on the benchmark's density grids: a level ratio
+    # too large for it loses the root at some point and raises
+    model = DegreeModel.from_spec(PANEL_SPECS[name])
+    grid = np.linspace(-25.0, 25.0, 2001)
+    h, res, rho = analytic._solve_h_batch(model, grid + 1j * eta)
+    assert np.all(res < analytic.RESIDUAL_RTOL * np.maximum(1.0, np.abs(h)))
+    assert abs(float(np.trapezoid(np.maximum(rho, 0.0), grid)) - 1.0) < 5e-3
+
+
+def test_no_overflow_near_the_largest_float(two_degree_model):
+    # both parts of z near the largest float: 1/z is representable, but
+    # 1/(z - d h) taken at full scale overflows to 0
+    z = complex(1.7e308, 1.7e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sol = solve_h(two_degree_model, z)
+    want = complex(0.5 / 1.7e308, -0.5 / 1.7e308)
+    assert abs(sol.h - want) <= 1e-12 * abs(want)
+    assert sol.residual < analytic.RESIDUAL_RTOL
 
 
 # ---------------------------------------------------------------- density
