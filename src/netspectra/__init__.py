@@ -26,10 +26,10 @@ from .analytic import (
     stieltjes_transform,
 )
 from .sampler import (
+    DENSE_CAP,
     ModularityView,
     SampledNetwork,
     attach_hub,
-    dense_cap,
     densify_modularity,
     sample_network,
     write_edge_list,

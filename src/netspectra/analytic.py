@@ -279,14 +279,19 @@ def stieltjes_transform(model: DegreeModel, z: complex) -> complex:
 
     Cross-checked against the equivalent node sum  sum_r w_r / (z - d_r h);
     disagreement beyond the propagated solver residual is an internal error.
+    Every division by z is taken at half scale, 0.5 / (z / 2), so neither
+    form nor the tolerance overflows where |z| is near the largest float.
     """
     z = complex(z)
     sol = solve_h(model, z)
     c = model.mean_degree()
-    g = (1.0 + c * sol.h ** 2) / z
-    g_nodes = complex(np.sum(model.weights / (z - model.degrees * sol.h)))
+    half_z = 0.5 * z
+    g = 0.5 * (1.0 + c * sol.h ** 2) / half_z
+    g_nodes = complex(np.sum(
+        model.weights * (0.5 / (half_z - model.degrees * (0.5 * sol.h)))))
     tol = max(1e-9 * max(1.0, abs(g)),
-              50.0 * c * max(1.0, abs(sol.h)) * max(sol.residual, 1e-16) / abs(z))
+              50.0 * c * max(1.0, abs(sol.h)) * max(sol.residual, 1e-16)
+              * 0.5 / abs(half_z))
     if abs(g - g_nodes) > tol:
         raise NumericError(
             f"Stieltjes forms disagree at z={z!r}: {abs(g - g_nodes):.3e}")

@@ -47,8 +47,8 @@ import numpy as np
 from . import analytic
 from .degree_model import DegreeModel
 from .errors import NumericError
-from .sampler import (SampledNetwork, attach_hub, densify_modularity,
-                      dense_cap, sample_network)
+from .sampler import (DENSE_CAP, SampledNetwork, attach_hub,
+                      densify_modularity, sample_network)
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -88,7 +88,6 @@ class EigenReport:
     """Eigenvalues (ascending) of one matrix realization."""
 
     eigenvalues: np.ndarray
-    kind: str
 
 
 @dataclass(frozen=True)
@@ -100,10 +99,9 @@ class EnsembleHistogram:
     density: np.ndarray
     replicates: int
     n: int
-    base_seed: int
 
 
-def dense_symmetric_eigen(matrix: np.ndarray, kind: str = "modularity",
+def dense_symmetric_eigen(matrix: np.ndarray, *,
                           overwrite_a: bool = False) -> EigenReport:
     """Full spectrum of a dense symmetric matrix.
 
@@ -120,16 +118,15 @@ def dense_symmetric_eigen(matrix: np.ndarray, kind: str = "modularity",
 
     Raises:
         ValueError: the matrix is not square, exceeds the dense cap or is
-            not symmetric within 1e-12 of its largest magnitude, or kind is
-            unknown.
+            not symmetric within 1e-12 of its largest magnitude.
         NumericError: LAPACK fails, or an identity above is broken.
     """
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("matrix must be square")
     n = m.shape[0]
-    if n > dense_cap():
-        raise ValueError(f"n={n} exceeds the dense cap {dense_cap()}")
+    if n > DENSE_CAP:
+        raise ValueError(f"n={n} exceeds the dense cap {DENSE_CAP}")
     scale = max(1.0, abs(float(m.max())), abs(float(m.min())))
     # each row block against the columns up to its end: every pair once
     for lo in range(0, n, SYMMETRY_BLOCK_ROWS):
@@ -137,8 +134,6 @@ def dense_symmetric_eigen(matrix: np.ndarray, kind: str = "modularity",
         gap = float(np.abs(m[lo:hi, :hi] - m[:hi, lo:hi].T).max())
         if gap > 1e-12 * scale:
             raise ValueError("matrix is not symmetric within tolerance")
-    if kind not in MATRIX_KINDS:
-        raise ValueError(f"kind must be one of {MATRIX_KINDS}")
 
     if not (overwrite_a and m.flags.c_contiguous and m.flags.writeable):
         m = m.copy()
@@ -151,7 +146,7 @@ def dense_symmetric_eigen(matrix: np.ndarray, kind: str = "modularity",
     if abs(np.sum(vals * vals) - fro2) > 1e-8 * ref2:
         raise NumericError(
             "eigenvalue square sum disagrees with Frobenius norm")
-    return EigenReport(eigenvalues=vals, kind=kind)
+    return EigenReport(eigenvalues=vals)
 
 
 @functools.cache
@@ -296,6 +291,14 @@ def _dense_matrix(net: SampledNetwork, kind: str) -> np.ndarray:
     return densify_modularity(net.modularity_view())
 
 
+def _check_ensemble(replicates: int, kind: str) -> None:
+    """Reject a replicate count or matrix kind before any sampling."""
+    if replicates < 1:
+        raise ValueError("replicates must be >= 1")
+    if kind not in MATRIX_KINDS:
+        raise ValueError(f"kind must be one of {MATRIX_KINDS}")
+
+
 def _replicate_workers(replicates: int) -> int:
     """Threads for a replicate pool: min(replicates, cores), where cores is
     this process's CPU affinity (the CPU count where that is not available);
@@ -310,7 +313,7 @@ def _replicate_workers(replicates: int) -> int:
 def _replicate_spectrum(model: DegreeModel, n: int, base_seed: int, kind: str,
                         r: int) -> np.ndarray:
     net = _replicate_network(model, n, base_seed, r)
-    return dense_symmetric_eigen(_dense_matrix(net, kind), kind=kind,
+    return dense_symmetric_eigen(_dense_matrix(net, kind),
                                  overwrite_a=True).eigenvalues
 
 
@@ -325,10 +328,7 @@ def pooled_spectra(model: DegreeModel, n: int, replicates: int,
     setter one worker solves on the process's BLAS setting, which the result
     then follows.
     """
-    if replicates < 1:
-        raise ValueError("replicates must be >= 1")
-    if kind not in MATRIX_KINDS:
-        raise ValueError(f"kind must be one of {MATRIX_KINDS}")
+    _check_ensemble(replicates, kind)
     # imported here: it loads logging, about 7 ms of every start-up
     from concurrent.futures import ThreadPoolExecutor
 
@@ -363,8 +363,7 @@ def empirical_density(model: DegreeModel, n: int, replicates: int, bins: int,
     width = edges[1] - edges[0]
     density = counts / (total * width)
     return EnsembleHistogram(eigenvalues=values, bin_edges=edges,
-                             density=density, replicates=replicates, n=n,
-                             base_seed=int(base_seed))
+                             density=density, replicates=replicates, n=n)
 
 
 def _top_pair(net: SampledNetwork, kind: str) -> tuple[float, np.ndarray]:
@@ -385,10 +384,7 @@ def ensemble_leading(model: DegreeModel, n: int, replicates: int,
                      ) -> tuple[float, float]:
     """Mean and standard error of the largest eigenvalue across replicates,
     each from the matrix-free top eigenpair (no dense cap on n)."""
-    if replicates < 1:
-        raise ValueError("replicates must be >= 1")
-    if kind not in MATRIX_KINDS:
-        raise ValueError(f"kind must be one of {MATRIX_KINDS}")
+    _check_ensemble(replicates, kind)
     return _mean_stderr(np.array([
         _top_pair(_replicate_network(model, n, base_seed, r), kind)[0]
         for r in range(replicates)]))
@@ -400,8 +396,7 @@ def _hub_ensemble(model: DegreeModel, k_n: float, n: int, replicates: int,
     top modularity eigenvalue, then the replicate means of `hub_vector_stats`,
     all read from one matrix-free top eigenpair per replicate (n background
     degrees from the model, plus a last vertex of expected degree k_n)."""
-    if replicates < 1:
-        raise ValueError("replicates must be >= 1")
+    _check_ensemble(replicates, "modularity")
     tops, acc = np.empty(replicates), np.zeros(3)
     for r in range(replicates):
         net = _replicate_network(model, n, base_seed, r, k_n)

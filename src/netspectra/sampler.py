@@ -20,11 +20,11 @@ search.
 The edges come out of `np.unique` sorted by (i, j), so the matrices are
 assembled without a sort: the sparse adjacency from the upper triangle's CSR
 arrays and their transpose, the dense matrices by scattering the edge
-multiplicities into one buffer.
+multiplicities into one buffer.  Dense matrices are built for at most
+DENSE_CAP vertices, a fixed constant.
 """
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -37,18 +37,9 @@ from .degree_model import DegreeSequence
 if TYPE_CHECKING:
     from scipy.sparse import csr_matrix
 
-DEFAULT_DENSE_CAP = 4000
-DENSE_CAP_ENV = "NETSPECTRA_DENSE_CAP"
-
-
-def dense_cap() -> int:
-    """Dense-matrix size cap; override with the NETSPECTRA_DENSE_CAP env var."""
-    raw = os.environ.get(DENSE_CAP_ENV)
-    try:
-        return int(raw) if raw else DEFAULT_DENSE_CAP
-    except ValueError:
-        raise ValueError(
-            f"{DENSE_CAP_ENV} must be an integer, got {raw!r}") from None
+# largest n of a dense matrix: one float64 n x n matrix takes 8 n^2 bytes,
+# 128 MB at n = 4000, and each pooled-spectra worker holds one
+DENSE_CAP = 4000
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,9 +96,8 @@ class SampledNetwork:
         return upper(slice(None)) + lower
 
     def _check_dense_cap(self) -> None:
-        if self.n > dense_cap():
-            raise ValueError(
-                f"n={self.n} exceeds the dense cap {dense_cap()}")
+        if self.n > DENSE_CAP:
+            raise ValueError(f"n={self.n} exceeds the dense cap {DENSE_CAP}")
 
     def _add_edges(self, dense: np.ndarray) -> np.ndarray:
         """Add each edge multiplicity to dense[i, j] and dense[j, i], in place."""
@@ -118,7 +108,7 @@ class SampledNetwork:
         return dense
 
     def adjacency_dense(self) -> np.ndarray:
-        """Dense symmetric adjacency (n capped by dense_cap)."""
+        """Dense symmetric adjacency (n capped by DENSE_CAP)."""
         self._check_dense_cap()
         return self._add_edges(np.zeros((self.n, self.n)))
 
@@ -219,7 +209,7 @@ def attach_hub(degrees: DegreeSequence, k_n: float) -> DegreeSequence:
 
 
 def densify_modularity(view: ModularityView) -> np.ndarray:
-    """Dense symmetric matrix A - k k^T / 2m (n capped by dense_cap).
+    """Dense symmetric matrix A - k k^T / 2m (n capped by DENSE_CAP).
 
     Built as (-k) k^T / 2m with the edges added in place, so no dense
     adjacency is formed.  IEEE rounding is symmetric in sign, and a + (-x)

@@ -162,10 +162,9 @@ def test_acceptance_7_interleaving_oracle():
         model = models[idx % len(models)]
         seq = model.sample_degrees(300, seed=replicate_seed(70707, idx))
         net = sample_network(seq, seed=replicate_seed(80808, idx))
-        lam = dense_symmetric_eigen(net.adjacency_dense(),
-                                    "adjacency").eigenvalues[::-1]
-        beta = dense_symmetric_eigen(densify_modularity(net.modularity_view()),
-                                     "modularity").eigenvalues[::-1]
+        lam = dense_symmetric_eigen(net.adjacency_dense()).eigenvalues[::-1]
+        beta = dense_symmetric_eigen(
+            densify_modularity(net.modularity_view())).eigenvalues[::-1]
         assert np.all(lam + 1e-9 >= beta)
         assert np.all(beta[:-1] + 1e-9 >= lam[1:])
     rng = np.random.default_rng(13)
@@ -173,7 +172,7 @@ def test_acceptance_7_interleaving_oracle():
     for _ in range(3):
         m = rng.standard_normal((50, 50))
         m = m + m.T
-        fast = dense_symmetric_eigen(m, "adjacency").eigenvalues
+        fast = dense_symmetric_eigen(m).eigenvalues
         worst = max(worst, float(np.abs(fast - jacobi_eigenvalues(m)).max()))
     assert worst < 1e-8
     print(f"\nACCEPTANCE 7 PASS: interleaving holds for 50 networks (n=300); "

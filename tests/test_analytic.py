@@ -373,6 +373,15 @@ def test_stieltjes_tail(poisson100, two_degree_model):
         assert stieltjes_transform(m, z) * z == pytest.approx(1.0, rel=1e-6)
 
 
+def test_stieltjes_near_largest_float(two_degree_model):
+    # both forms of g and the tolerance divide by z; none may overflow
+    z = 1.7e308 + 1.7e308j
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g = stieltjes_transform(two_degree_model, z)
+    assert g == pytest.approx(0.5 / (0.5 * z), rel=1e-12)
+
+
 def test_stieltjes_real_outside_band(poisson100):
     g = stieltjes_transform(poisson100, 30.0)
     assert g.imag == pytest.approx(0.0, abs=1e-12)

@@ -12,7 +12,7 @@ from netspectra import (DegreeModel, analytic, band_edges, empirical_density,
                         hub_eigenvalues, l1_distance)
 from netspectra.cli import (EXIT_ABSENT, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE,
                             RunManifest, run)
-from netspectra.sampler import DEFAULT_DENSE_CAP
+from netspectra.sampler import DENSE_CAP
 
 
 @pytest.fixture()
@@ -513,16 +513,14 @@ def test_invalid_model_is_usage_error(tmp_path, capsys, spec, message):
     assert err.count("\n") == 1
 
 
-def test_empirical_past_dense_cap_is_usage_error(tmp_path, poisson_file, capsys,
-                                                 monkeypatch):
-    monkeypatch.delenv("NETSPECTRA_DENSE_CAP", raising=False)
+def test_empirical_past_dense_cap_is_usage_error(tmp_path, poisson_file, capsys):
     out = tmp_path / "hist.csv"
-    code = run(["empirical", str(poisson_file), "--n", str(DEFAULT_DENSE_CAP + 1),
+    code = run(["empirical", str(poisson_file), "--n", str(DENSE_CAP + 1),
                 "--reps", "1", "--out", str(out)])
     assert code == EXIT_USAGE
     err = capsys.readouterr().err
-    assert err == (f"error: n={DEFAULT_DENSE_CAP + 1} exceeds the dense cap "
-                   f"{DEFAULT_DENSE_CAP}\n")
+    assert err == (f"error: n={DENSE_CAP + 1} exceeds the dense cap "
+                   f"{DENSE_CAP}\n")
     assert not out.exists()
 
 
@@ -540,16 +538,6 @@ def test_mean_overflow_is_usage_error(tmp_path, capsys, monkeypatch, command):
     err = capsys.readouterr().err
     assert err.startswith("error: largest pairwise mean") and err.count("\n") == 1
     assert not (tmp_path / "hist.csv").exists()
-
-
-def test_non_integer_dense_cap_is_usage_error(tmp_path, poisson_file, capsys,
-                                              monkeypatch):
-    monkeypatch.setenv("NETSPECTRA_DENSE_CAP", "lots")
-    code = run(["empirical", str(poisson_file), "--n", "50", "--reps", "1",
-                "--out", str(tmp_path / "hist.csv")])
-    assert code == EXIT_USAGE
-    err = capsys.readouterr().err
-    assert "NETSPECTRA_DENSE_CAP" in err and err.count("\n") == 1
 
 
 def test_manifest_roundtrip(tmp_path):

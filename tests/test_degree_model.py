@@ -1,12 +1,13 @@
 from __future__ import annotations
 
+import hashlib
 import json
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from netspectra import DegreeModel, DegreeSequence
+from netspectra import DegreeModel, DegreeSequence, degree_model
 
 
 def random_atomic_model(rng: np.random.Generator) -> DegreeModel:
@@ -155,6 +156,36 @@ def test_sample_degrees_deterministic(two_degree_model):
     assert not np.array_equal(a.k, c.k)
 
 
+# sha256 of the draws for seeds 0-4 at n = 5000, one sequence after another,
+# as the separate atomic and mixed sampling branches gave them
+@pytest.mark.parametrize("model, digest", [
+    pytest.param(DegreeModel.poisson(100.0),
+                 "6887d973ab6c414bea1835864aad9cc954801abf57a7c12761631e7c89cf49ec",
+                 id="poisson100"),
+    pytest.param(DegreeModel.from_atoms([(50.0, 0.25), (100.0, 0.75)]),
+                 "aac950b8b1847d0f41b3abdd9c023eb00f339cdaad98c03615cd487d79fe1a93",
+                 id="two_degree"),
+    # weights summing to 1 - 4e-13: a uniform above the last cumulative
+    # weight still picks the last atom
+    pytest.param(DegreeModel.from_atoms([(20.0, 0.2), (60.0, 0.3),
+                                         (90.0, 0.5 - 4e-13)]),
+                 "08f564e761bf976086800860ebe54548075bf7dea3817ace69a552fc1672b2a9",
+                 id="atoms_short_of_one"),
+    pytest.param(DegreeModel.from_parts([(30.0, 0.25)], lambda k: np.ones_like(k),
+                                        80.0, 120.0, 256),
+                 "fa1aa4a1a77ec914cceec526df5c42cd794b4b99a5f8991f17f060ea880d8bf2",
+                 id="mixture"),
+    pytest.param(DegreeModel.uniform(60.0, 140.0, nodes=64),
+                 "4131f7b5e2da1a487193583f2b1778d9933934ff8c39d2e046358444939d1dab",
+                 id="uniform64"),
+])
+def test_sample_degrees_pinned(model, digest):
+    sha = hashlib.sha256()
+    for seed in range(5):
+        sha.update(model.sample_degrees(5000, seed).k.tobytes())
+    assert sha.hexdigest() == digest
+
+
 def test_sample_degrees_continuous_range():
     model = DegreeModel.uniform(50.0, 150.0)
     seq = model.sample_degrees(5000, seed=3)
@@ -174,6 +205,17 @@ def test_sample_degrees_mixed_parts():
 
 
 # ---------------------------------------------------------------- quadrature
+
+def test_quadrature_nodes_shared_across_builds():
+    a, b = (DegreeModel.from_parts([(30.0, 0.25)], lambda k: np.sqrt(k),
+                                   80.0, 120.0, 256) for _ in range(2))
+    x, w = np.polynomial.legendre.leggauss(256)
+    assert a.degrees.tobytes() == b.degrees.tobytes()
+    assert a.weights.tobytes() == b.weights.tobytes()
+    assert a.degrees[1:].tobytes() == (100.0 + 20.0 * x).tobytes()
+    # the shared rule is read-only, so no build can change another's nodes
+    assert not any(arr.flags.writeable for arr in degree_model._gauss_legendre(256))
+
 
 def test_quadrature_convergence_smooth():
     for make in (lambda nodes: DegreeModel.uniform(50.0, 150.0, nodes=nodes),
@@ -210,13 +252,6 @@ def test_atom_dedup_merges_close_degrees():
     m = DegreeModel.from_atoms([(100.0, 0.5), (100.0 * (1 + 1e-12), 0.5)])
     assert m.degrees.size == 1
     assert m.weights[0] == pytest.approx(1.0, abs=1e-15)
-    assert m.kind == "poisson-equivalent"
-
-
-def test_kind_tags():
-    assert DegreeModel.poisson(5.0).kind == "poisson-equivalent"
-    assert DegreeModel.from_atoms([(5.0, 0.5), (7.0, 0.5)]).kind == "discrete"
-    assert DegreeModel.uniform(1.0, 2.0).kind == "continuous"
 
 
 def test_degree_sequence_validation():

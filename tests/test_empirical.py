@@ -38,12 +38,12 @@ from oracles import jacobi_eigenvalues
 # ---------------------------------------------------------------- dense eigen
 
 def test_exchange_matrix():
-    rep = dense_symmetric_eigen(np.array([[0.0, 1.0], [1.0, 0.0]]), "adjacency")
+    rep = dense_symmetric_eigen(np.array([[0.0, 1.0], [1.0, 0.0]]))
     assert rep.eigenvalues == pytest.approx([-1.0, 1.0], abs=1e-14)
 
 
 def test_diagonal_matrix():
-    rep = dense_symmetric_eigen(np.diag([5.0, 2.0, 1.0, 4.0, 3.0]), "adjacency")
+    rep = dense_symmetric_eigen(np.diag([5.0, 2.0, 1.0, 4.0, 3.0]))
     assert rep.eigenvalues == pytest.approx([1.0, 2.0, 3.0, 4.0, 5.0],
                                             abs=1e-14)
 
@@ -53,7 +53,7 @@ def test_against_jacobi_oracle():
     for _ in range(3):
         m = rng.standard_normal((50, 50))
         m = m + m.T
-        fast = dense_symmetric_eigen(m, "adjacency").eigenvalues
+        fast = dense_symmetric_eigen(m).eigenvalues
         slow = jacobi_eigenvalues(m)
         assert np.abs(fast - slow).max() < 1e-8
 
@@ -62,7 +62,7 @@ def test_eigen_report_invariants():
     rng = np.random.default_rng(5)
     m = rng.standard_normal((80, 80))
     m = m + m.T
-    rep = dense_symmetric_eigen(m, "modularity")
+    rep = dense_symmetric_eigen(m)
     assert np.all(np.diff(rep.eigenvalues) >= 0)
     assert rep.eigenvalues.sum() == pytest.approx(np.trace(m), rel=1e-8)
     assert (rep.eigenvalues ** 2).sum() == pytest.approx(np.sum(m * m),
@@ -72,12 +72,13 @@ def test_eigen_report_invariants():
 def test_asymmetric_rejected():
     m = np.array([[0.0, 1.0], [0.5, 0.0]])
     with pytest.raises(ValueError):
-        dense_symmetric_eigen(m, "adjacency")
+        dense_symmetric_eigen(m)
 
 
-def test_bad_kind_rejected():
-    with pytest.raises(ValueError):
-        dense_symmetric_eigen(np.eye(2), "laplacian")
+def test_overwrite_is_keyword_only():
+    # a matrix kind passed where it once went must not bind to overwrite_a
+    with pytest.raises(TypeError):
+        dense_symmetric_eigen(np.eye(2), "adjacency")
 
 
 def _symmetric(n: int, seed: int) -> np.ndarray:
@@ -88,19 +89,19 @@ def _symmetric(n: int, seed: int) -> np.ndarray:
 def test_matches_eigvalsh_oracle():
     m = _symmetric(300, 31)
     ref = np.linalg.eigvalsh(m)
-    vals = dense_symmetric_eigen(m, "adjacency").eigenvalues
+    vals = dense_symmetric_eigen(m).eigenvalues
     assert np.abs(vals - ref).max() <= 1e-10 * np.abs(ref).max()
 
 
 def test_dsyevd_fallback_matches_two_stage(monkeypatch, two_degree_model):
     m = _symmetric(300, 31)
-    two_stage = dense_symmetric_eigen(m, "adjacency").eigenvalues
+    two_stage = dense_symmetric_eigen(m).eigenvalues
     pooled = pooled_spectra(two_degree_model, 300, 2, base_seed=3)
     # _lapack as a build without dsyevd_2stage sees it
     capsule = empirical._capsule_dsyevd(), empirical._lapack()[1]
     monkeypatch.setattr(empirical, "_lapack", lambda: capsule)
     assert empirical._lapack()[0].__name__ == "dsyevd"
-    fallback = dense_symmetric_eigen(m, "adjacency").eigenvalues
+    fallback = dense_symmetric_eigen(m).eigenvalues
     assert (np.abs(fallback - two_stage).max()
             <= 1e-10 * np.abs(two_stage).max())
     pooled_fallback = pooled_spectra(two_degree_model, 300, 2, base_seed=3)
@@ -125,7 +126,7 @@ def test_lapack_finds_two_stage_solver():
 def test_input_unchanged_without_overwrite():
     m = _symmetric(120, 8)
     before = m.copy()
-    dense_symmetric_eigen(m, "adjacency")
+    dense_symmetric_eigen(m)
     assert np.array_equal(m, before)
 
 
@@ -142,7 +143,7 @@ def test_asymmetry_rejected_in_any_row_block(row, col):
     assert blocks in ({first}, {last}, {first, last})
     m[row, col] += 1e-9
     with pytest.raises(ValueError, match="not symmetric"):
-        dense_symmetric_eigen(m, "adjacency", overwrite_a=True)
+        dense_symmetric_eigen(m, overwrite_a=True)
 
 
 # ---------------------------------------------------------------- top pair
@@ -162,7 +163,7 @@ def test_top_eigenpair_vs_dense():
     seq = model.sample_degrees(500, seed=21)
     net = sample_network(seq, seed=22)
     b = densify_modularity(net.modularity_view())
-    dense_top = dense_symmetric_eigen(b, "modularity").eigenvalues[-1]
+    dense_top = dense_symmetric_eigen(b).eigenvalues[-1]
     lam, v = top_eigenpair(net.modularity_view().matvec, 500, tol=1e-10)
     assert abs(lam - dense_top) < 1e-8
     assert np.linalg.norm(b @ v - lam * v) < 1e-9 * abs(lam)
@@ -338,6 +339,21 @@ def test_ensemble_checks_kind_before_sampling(monkeypatch, two_degree_model,
         ensemble(two_degree_model, 50, 2, base_seed=1, kind="laplacian")
 
 
+@pytest.mark.parametrize("ensemble", [
+    pooled_spectra, ensemble_leading,
+    lambda model, n, reps, base_seed: _hub_ensemble(model, 400.0, n, reps,
+                                                    base_seed)],
+    ids=["pooled_spectra", "ensemble_leading", "hub_ensemble"])
+def test_ensemble_checks_replicates_before_sampling(monkeypatch, poisson100,
+                                                    ensemble):
+    def sample(*args, **kwargs):
+        raise AssertionError("sampled a network before checking replicates")
+
+    monkeypatch.setattr(empirical, "sample_network", sample)
+    with pytest.raises(ValueError, match="replicates must be >= 1"):
+        ensemble(poisson100, 50, 0, base_seed=1)
+
+
 _POOLED_HASH = """
 import hashlib
 from netspectra import DegreeModel, pooled_spectra
@@ -412,8 +428,7 @@ def test_ensemble_top_matches_dense_reference(case, poisson100,
         else:
             k_n = 400.0 if case == "hub_above" else 120.0
             net, kind = _replicate_network(poisson100, 300, 42, r, k_n), "modularity"
-        dense_top = dense_symmetric_eigen(
-            _dense_matrix(net, kind), kind).eigenvalues[-1]
+        dense_top = dense_symmetric_eigen(_dense_matrix(net, kind)).eigenvalues[-1]
         assert abs(_top_pair(net, kind)[0] - dense_top) <= 1e-8
 
 
@@ -500,7 +515,7 @@ def test_interleaving_small_networks(two_degree_model, poisson100):
         net = sample_network(seq, seed=replicate_seed(321, idx))
         a = net.adjacency_dense()
         b = densify_modularity(net.modularity_view())
-        lam = dense_symmetric_eigen(a, "adjacency").eigenvalues[::-1]
-        beta = dense_symmetric_eigen(b, "modularity").eigenvalues[::-1]
+        lam = dense_symmetric_eigen(a).eigenvalues[::-1]
+        beta = dense_symmetric_eigen(b).eigenvalues[::-1]
         assert np.all(lam + 1e-9 >= beta)
         assert np.all(beta[:-1] + 1e-9 >= lam[1:])

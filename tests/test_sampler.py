@@ -17,6 +17,7 @@ from netspectra import (
     sample_network,
     write_edge_list,
 )
+from netspectra import sampler
 from netspectra.sampler import _invert_cumulative
 
 GOLDEN_SEQ = DegreeSequence.from_values(
@@ -158,8 +159,8 @@ def test_two_hubs_recovered_empirically():
         s = replicate_seed(777, r)
         seq = attach_hub(attach_hub(model.sample_degrees(2000, s), 400.0), 300.0)
         net = sample_network(seq, replicate_seed(s, 1))
-        ev = dense_symmetric_eigen(densify_modularity(net.modularity_view()),
-                                   "modularity").eigenvalues
+        ev = dense_symmetric_eigen(
+            densify_modularity(net.modularity_view())).eigenvalues
         tops.append(ev[-2:])
     mean_top2 = np.array(tops).mean(axis=0)
     assert mean_top2[1] == pytest.approx(preds[0], rel=0.03)
@@ -172,14 +173,14 @@ def test_mean_overflow_guard():
 
 
 def test_dense_cap_enforced(monkeypatch):
-    monkeypatch.setenv("NETSPECTRA_DENSE_CAP", "10")
+    monkeypatch.setattr(sampler, "DENSE_CAP", 10)
     seq = DegreeSequence.from_values(np.full(20, 5.0))
     net = sample_network(seq, seed=0)
     with pytest.raises(ValueError, match="exceeds the dense cap"):
         net.adjacency_dense()
     with pytest.raises(ValueError, match="exceeds the dense cap"):
         densify_modularity(net.modularity_view())
-    monkeypatch.setenv("NETSPECTRA_DENSE_CAP", "32")
+    monkeypatch.setattr(sampler, "DENSE_CAP", 32)
     assert net.adjacency_dense().shape == (20, 20)
 
 
