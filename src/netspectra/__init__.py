@@ -17,6 +17,7 @@ from .analytic import (
     hub_critical_degree,
     hub_eigenvalues,
     hub_eigenvector_profile,
+    hub_pairs,
     leading_eigenvalue,
     leading_eigenvalue_approx,
     semicircle_cauchy_transform,
@@ -40,6 +41,7 @@ from .empirical import (
     compare_density,
     dense_symmetric_eigen,
     empirical_density,
+    ensemble_hub,
     ensemble_hub_localization,
     ensemble_hub_top,
     ensemble_leading,

@@ -393,14 +393,11 @@ def band_edges(model: DegreeModel) -> tuple[float, float]:
     """Outermost edges of the continuous spectral band, (-z_c, z_c).
 
     The upper edge is z(u_c) = u_c sqrt(G(u_c) / c) at the critical degree
-    u_c of `hub_critical_degree`; a single atom has the closed form 2 sqrt(c).
-    The lower edge is its negative, because h(-z) = -h(z).
+    u_c of `hub_critical_degree`, for every model: a single atom of degree c
+    goes through the same curve, with u_c = 2c and edge 2 sqrt(c).  The
+    lower edge is its negative, because h(-z) = -h(z).
     """
-    c = model.mean_degree()
-    if model.degrees.size == 1:
-        e = float(2.0 * np.sqrt(c))
-    else:
-        e = float(np.sqrt(_hub_zsq(model, hub_critical_degree(model))))
+    e = float(np.sqrt(_hub_zsq(model, hub_critical_degree(model))))
     return (-e, e)
 
 
@@ -459,11 +456,13 @@ def leading_eigenvalue_approx(model: DegreeModel) -> float:
 # hubs
 # --------------------------------------------------------------------------
 
-def _hub_pairs(model: DegreeModel, k_n: np.ndarray) -> tuple[float, np.ndarray]:
-    """Critical degree and z_plus at every hub degree of k_n (NaN below critical).
+def hub_pairs(model: DegreeModel, k_n: np.ndarray) -> tuple[float, np.ndarray]:
+    """Critical degree, and z_plus at every hub degree of the array k_n.
 
-    Each detached z = sqrt(k_n^2 G(k_n) / c) is checked against h(z) = z / k_n
-    by one batched cold solve of h at all of them.
+    z_plus is NaN where k_n does not exceed the critical degree.  Each
+    detached z = sqrt(k_n^2 G(k_n) / c) is checked against h(z) = z / k_n by
+    one batched cold solve of h at all of them.  `hub_eigenvalues` is the
+    one-degree view that adds the localization.
 
     Raises:
         ValueError: some k_n is not finite, does not exceed every degree
@@ -514,7 +513,7 @@ def hub_eigenvalues(model: DegreeModel, k_n: float) -> HubPrediction:
             the model.
     """
     k_n = float(k_n)
-    k_crit, z_plus = _hub_pairs(model, np.array([k_n]))
+    k_crit, z_plus = hub_pairs(model, np.array([k_n]))
     if np.isnan(z_plus[0]):
         return HubPrediction(k_n=k_n, exists=False, z_plus=None,
                              k_critical=k_crit, vn_sq=0.0, neighbor_vi_sq_mean=0.0)
@@ -526,12 +525,13 @@ def hub_eigenvalues(model: DegreeModel, k_n: float) -> HubPrediction:
 
 
 def _hub_localization(model: DegreeModel, k_n: float, z: float) -> tuple[float, float]:
+    """Hub weight v_n^2 = 1 / (1 - k_n h'(z)) and the mean neighbor weight.
+
+    h'(z) comes from implicit differentiation of the self-consistency
+    equation at h = z / k_n, for every model: a single atom of degree c goes
+    through the same formula, which gives (k_n / 2 - c) / (k_n - c) there.
+    """
     c = model.mean_degree()
-    if model.degrees.size == 1:
-        # closed form for a single-degree background
-        vn_sq = (0.5 * k_n - c) / (k_n - c)
-        neighbor = vn_sq / (k_n - c)
-        return float(vn_sq), float(neighbor)
     h = z / k_n
     d, w = model.degrees, model.weights
     q = 1.0 / (z - d * h)

@@ -153,7 +153,7 @@ def _run_hub_sweep(model: DegreeModel, spec: dict, params: dict,
     except (AttributeError, ValueError):
         raise ValueError("--sweep expects lo:hi:steps") from None
     edge = analytic.band_edges(model)[1]
-    _, z_plus = analytic._hub_pairs(model, kns)
+    _, z_plus = analytic.hub_pairs(model, kns)
     rows = []
     for kn, z in zip(kns, z_plus):
         row = [kn, None if np.isnan(z) else z, edge]
@@ -231,7 +231,7 @@ def _cmd_hub(args) -> int:
         print(f"hub degree {args.kn:g}: inside band "
               f"(band edge {analytic.band_edges(model)[1]:.6g})")
     if args.empirical:
-        mean, stderr, vn, nb, blk = empirical._hub_ensemble(
+        mean, stderr, vn, nb, blk = empirical.ensemble_hub(
             model, args.kn, args.n, args.reps, args.seed)
         print(f"ensemble top modularity eigenvalue: {mean:.6g} +/- {stderr:.3g}")
         if pred.exists:

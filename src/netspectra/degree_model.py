@@ -10,9 +10,7 @@ process and shared, read-only, by every model built with that count.
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
@@ -198,12 +196,6 @@ class DegreeModel:
             dens = lambda x: np.interp(x, kk, ff, left=0.0, right=0.0)
             return cls.from_parts(atoms, dens, lo, hi, nodes)
         raise ValueError(f"unknown continuous kind {ckind!r}")
-
-    @classmethod
-    def from_file(cls, path: str | Path) -> "DegreeModel":
-        """Load a model spec JSON file (see `from_spec` for the schema)."""
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_spec(json.load(fh))
 
     # ------------------------------------------------------------- derived
 

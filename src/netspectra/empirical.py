@@ -47,7 +47,7 @@ import numpy as np
 from . import analytic
 from .degree_model import DegreeModel
 from .errors import NumericError
-from .sampler import (DENSE_CAP, SampledNetwork, attach_hub,
+from .sampler import (SampledNetwork, attach_hub, check_dense_cap,
                       densify_modularity, sample_network)
 
 _MASK64 = (1 << 64) - 1
@@ -125,8 +125,7 @@ def dense_symmetric_eigen(matrix: np.ndarray, *,
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("matrix must be square")
     n = m.shape[0]
-    if n > DENSE_CAP:
-        raise ValueError(f"n={n} exceeds the dense cap {DENSE_CAP}")
+    check_dense_cap(n)
     scale = max(1.0, abs(float(m.max())), abs(float(m.min())))
     # each row block against the columns up to its end: every pair once
     for lo in range(0, n, SYMMETRY_BLOCK_ROWS):
@@ -326,9 +325,10 @@ def pooled_spectra(model: DegreeModel, n: int, replicates: int,
     workers * (8 n^2 + workspace) bytes; the result is the same for every
     worker count and BLAS setting on one CPU type.  Without a per-thread
     setter one worker solves on the process's BLAS setting, which the result
-    then follows.
+    then follows.  An n past the dense cap is rejected before any sampling.
     """
     _check_ensemble(replicates, kind)
+    check_dense_cap(n)
     # imported here: it loads logging, about 7 ms of every start-up
     from concurrent.futures import ThreadPoolExecutor
 
@@ -390,12 +390,14 @@ def ensemble_leading(model: DegreeModel, n: int, replicates: int,
         for r in range(replicates)]))
 
 
-def _hub_ensemble(model: DegreeModel, k_n: float, n: int, replicates: int,
-                  base_seed: int) -> tuple[float, float, float, float, float]:
+def ensemble_hub(model: DegreeModel, k_n: float, n: int, replicates: int,
+                 base_seed: int) -> tuple[float, float, float, float, float]:
     """One pass over the hub replicates: the mean and standard error of the
     top modularity eigenvalue, then the replicate means of `hub_vector_stats`,
     all read from one matrix-free top eigenpair per replicate (n background
-    degrees from the model, plus a last vertex of expected degree k_n)."""
+    degrees from the model, plus a last vertex of expected degree k_n).
+    `ensemble_hub_top` and `ensemble_hub_localization` return its first two
+    and its last three values."""
     _check_ensemble(replicates, "modularity")
     tops, acc = np.empty(replicates), np.zeros(3)
     for r in range(replicates):
@@ -409,7 +411,7 @@ def ensemble_hub_top(model: DegreeModel, k_n: float, n: int, replicates: int,
                      base_seed: int) -> tuple[float, float]:
     """Mean/stderr of the top modularity eigenvalue with one attached hub
     (the first two values of the hub pass)."""
-    return _hub_ensemble(model, k_n, n, replicates, base_seed)[:2]
+    return ensemble_hub(model, k_n, n, replicates, base_seed)[:2]
 
 
 def ensemble_hub_localization(model: DegreeModel, k_n: float, n: int,
@@ -417,7 +419,7 @@ def ensemble_hub_localization(model: DegreeModel, k_n: float, n: int,
                               ) -> tuple[float, float, float]:
     """Replicate-averaged hub_vector_stats for one attached hub (the last
     three values of the hub pass)."""
-    return _hub_ensemble(model, k_n, n, replicates, base_seed)[2:]
+    return ensemble_hub(model, k_n, n, replicates, base_seed)[2:]
 
 
 def _vector_stats(network: SampledNetwork, vec: np.ndarray,

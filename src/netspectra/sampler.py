@@ -42,6 +42,12 @@ if TYPE_CHECKING:
 DENSE_CAP = 4000
 
 
+def check_dense_cap(n: int) -> None:
+    """Reject a dense matrix of more than DENSE_CAP vertices."""
+    if n > DENSE_CAP:
+        raise ValueError(f"n={n} exceeds the dense cap {DENSE_CAP}")
+
+
 @dataclass(frozen=True, eq=False)
 class SampledNetwork:
     """One sampled multigraph: expected degrees plus a sparse edge multiset.
@@ -95,10 +101,6 @@ class SampledNetwork:
                            shape=(self.n, self.n))
         return upper(slice(None)) + lower
 
-    def _check_dense_cap(self) -> None:
-        if self.n > DENSE_CAP:
-            raise ValueError(f"n={self.n} exceeds the dense cap {DENSE_CAP}")
-
     def _add_edges(self, dense: np.ndarray) -> np.ndarray:
         """Add each edge multiplicity to dense[i, j] and dense[j, i], in place."""
         flat = dense.reshape(-1)
@@ -109,7 +111,7 @@ class SampledNetwork:
 
     def adjacency_dense(self) -> np.ndarray:
         """Dense symmetric adjacency (n capped by DENSE_CAP)."""
-        self._check_dense_cap()
+        check_dense_cap(self.n)
         return self._add_edges(np.zeros((self.n, self.n)))
 
     def modularity_view(self) -> "ModularityView":
@@ -216,7 +218,7 @@ def densify_modularity(view: ModularityView) -> np.ndarray:
     is a - x, so every entry has the bits of A[i, j] - k_i k_j / 2m.
     """
     net = view.network
-    net._check_dense_cap()
+    check_dense_cap(net.n)
     k = net.degrees.k
     dense = np.outer(-k, k)
     dense /= net.two_m_expected

@@ -162,6 +162,19 @@ def poisson_bulk_density(z: float, c: float) -> float:
     return np.sqrt(4.0 * c - z * z) / (2.0 * np.pi * c)
 
 
+def poisson_band_edge(c: float) -> float:
+    """Upper band edge 2 sqrt(c) of the single-degree model."""
+    return 2.0 * np.sqrt(c)
+
+
+def poisson_hub_weights(k_n: float, c: float) -> tuple[float, float]:
+    """Hub weight v_n^2 = (k_n / 2 - c) / (k_n - c) of a hub of degree k_n
+    above a single-degree background of degree c, and the mean neighbor
+    weight v_n^2 / (k_n - c)."""
+    vn_sq = (0.5 * k_n - c) / (k_n - c)
+    return vn_sq, vn_sq / (k_n - c)
+
+
 def _bisect(f, lo: float, hi: float) -> float:
     f_lo = f(lo) > 0.0
     for _ in range(200):

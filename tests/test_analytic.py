@@ -15,6 +15,7 @@ from netspectra import (
     hub_critical_degree,
     hub_eigenvalues,
     hub_eigenvector_profile,
+    hub_pairs,
     leading_eigenvalue,
     leading_eigenvalue_approx,
     semicircle_cauchy_transform,
@@ -30,7 +31,9 @@ from oracles import (
     leading_root,
     numeric_semicircle_cauchy,
     physical_root,
+    poisson_band_edge,
     poisson_bulk_density,
+    poisson_hub_weights,
     psi_roots,
     single_degree_h,
 )
@@ -406,6 +409,19 @@ def test_band_edges_poisson(poisson100):
     assert (lo1, hi1) == pytest.approx((-2.0, 2.0), abs=1e-9)
 
 
+def test_band_edges_single_atom_on_the_general_curve():
+    # one atom goes through the general curve z(u_c); it meets the closed
+    # form 2 sqrt(c) to one ulp over log-uniform c, and exactly at the round
+    # c the other tests use
+    rng = np.random.default_rng(216)
+    for c in 10.0 ** rng.uniform(-3.0, 6.0, 500):
+        edge = band_edges(DegreeModel.poisson(c))[1]
+        assert abs(edge - poisson_band_edge(c)) <= 2.5e-16 * poisson_band_edge(c)
+    for c in (1.0, 100.0):
+        edge = poisson_band_edge(c)
+        assert band_edges(DegreeModel.poisson(c)) == (-edge, edge)
+
+
 def test_band_edges_two_degree_bracket_and_sqrt_law(two_degree_model):
     lo, hi = band_edges(two_degree_model)
     assert 18.0 < hi < 21.0
@@ -549,14 +565,14 @@ def test_hub_degree_must_be_finite(two_degree_model, kn):
     with pytest.raises(ValueError, match=f"hub degree {kn!r} must be finite"):
         hub_eigenvalues(two_degree_model, kn)
     with pytest.raises(ValueError, match=f"hub degree {kn!r} must be finite"):
-        analytic._hub_pairs(two_degree_model, np.array([300.0, kn]))
+        hub_pairs(two_degree_model, np.array([300.0, kn]))
 
 
 def test_hub_degree_overflow_named(two_degree_model):
     with pytest.raises(ValueError, match="hub degree 1e\\+160 is too large"):
         hub_eigenvalues(two_degree_model, 1e160)
     with pytest.raises(ValueError, match="hub degree 1e\\+160 is too large"):
-        analytic._hub_pairs(two_degree_model, np.array([300.0, 1e160]))
+        hub_pairs(two_degree_model, np.array([300.0, 1e160]))
 
 
 def test_hub_consistency_with_h(poisson100, two_degree_model):
@@ -572,7 +588,7 @@ def test_hub_check_fires_on_perturbed_candidate(monkeypatch, two_degree_model):
     monkeypatch.setattr(analytic, "_hub_zsq",
                         lambda model, k: zsq(model, k) * (1.0 + 1e-6) ** 2)
     with pytest.raises(NumericError, match=r"fails h\(z\) = z / k_n"):
-        analytic._hub_pairs(two_degree_model, np.linspace(101.0, 400.0, 30))
+        hub_pairs(two_degree_model, np.linspace(101.0, 400.0, 30))
     with pytest.raises(NumericError, match=r"fails h\(z\) = z / k_n"):
         hub_eigenvalues(two_degree_model, 300.0)
 
@@ -582,6 +598,22 @@ def test_hub_localization_poisson(poisson100):
     assert pred.vn_sq == pytest.approx(1.0 / 3.0, rel=1e-12)
     assert pred.neighbor_vi_sq_mean == pytest.approx(100.0 / 300.0 ** 2,
                                                      rel=1e-12)
+
+
+def test_hub_weights_single_atom_on_the_general_curve():
+    # one atom goes through the implicit-derivative formula; it meets the
+    # closed forms to roundoff away from the transition, and to 1e-10 just
+    # above it, where v_n^2 -> 0
+    rng = np.random.default_rng(25)
+    for c in (0.5, 1.0, 3.0, 100.0, 1000.0):
+        model = DegreeModel.poisson(c)
+        kns = c * np.append(2.5, 10.0 ** rng.uniform(np.log10(2.5), 3.0, 8))
+        cases = [(2.0 * c * (1.0 + 1e-5), 1e-10)] + [(k, 1e-14) for k in kns]
+        for kn, rel in cases:
+            pred = hub_eigenvalues(model, kn)
+            vn_sq, neighbor = poisson_hub_weights(kn, c)
+            assert abs(pred.vn_sq - vn_sq) <= rel * vn_sq
+            assert abs(pred.neighbor_vi_sq_mean - neighbor) <= rel * neighbor
 
 
 def test_hub_localization_vanishes_at_transition(poisson100):

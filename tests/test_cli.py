@@ -146,7 +146,7 @@ def test_empirical_csv_and_l1(tmp_path, poisson_file, capsys):
     sidecar = json.loads((tmp_path / "eigs.csv.manifest.json").read_text())
     assert sidecar["replicates"] == 2
     manifest = json.loads((tmp_path / "hist.csv.manifest.json").read_text())
-    lo, hi = band_edges(DegreeModel.from_file(poisson_file))
+    lo, hi = band_edges(DegreeModel.from_spec(json.loads(poisson_file.read_text())))
     assert manifest["params"]["range"] == [lo - 2.0, hi + 2.0]
 
 

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import hashlib
-import json
 
 import numpy as np
 import pytest
@@ -305,10 +304,3 @@ def test_from_spec_rejects_unknown(tmp_path):
         DegreeModel.from_spec({"continuous": {"kind": "lognormal"}})
     with pytest.raises(ValueError, match="model spec is empty"):
         DegreeModel.from_spec({})
-
-
-def test_from_file_roundtrip(tmp_path, two_degree_model):
-    path = tmp_path / "model.json"
-    path.write_text(json.dumps({"atoms": [[50.0, 0.25], [100.0, 0.75]]}))
-    m = DegreeModel.from_file(path)
-    assert m.mean_degree() == two_degree_model.mean_degree()

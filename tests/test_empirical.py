@@ -15,6 +15,7 @@ from netspectra import (
     dense_symmetric_eigen,
     densify_modularity,
     empirical_density,
+    ensemble_hub,
     ensemble_hub_localization,
     ensemble_hub_top,
     ensemble_leading,
@@ -27,11 +28,10 @@ from netspectra import (
     write_eigenvalue_dump,
     write_histogram_csv,
 )
-from netspectra import empirical
+from netspectra import empirical, sampler
 from netspectra.empirical import (MATRIX_KINDS, SYMMETRY_BLOCK_ROWS,
-                                  _dense_matrix, _hub_ensemble,
-                                  _replicate_network, _replicate_workers,
-                                  _top_pair)
+                                  _dense_matrix, _replicate_network,
+                                  _replicate_workers, _top_pair)
 from oracles import jacobi_eigenvalues
 
 
@@ -341,8 +341,8 @@ def test_ensemble_checks_kind_before_sampling(monkeypatch, two_degree_model,
 
 @pytest.mark.parametrize("ensemble", [
     pooled_spectra, ensemble_leading,
-    lambda model, n, reps, base_seed: _hub_ensemble(model, 400.0, n, reps,
-                                                    base_seed)],
+    lambda model, n, reps, base_seed: ensemble_hub(model, 400.0, n, reps,
+                                                   base_seed)],
     ids=["pooled_spectra", "ensemble_leading", "hub_ensemble"])
 def test_ensemble_checks_replicates_before_sampling(monkeypatch, poisson100,
                                                     ensemble):
@@ -352,6 +352,22 @@ def test_ensemble_checks_replicates_before_sampling(monkeypatch, poisson100,
     monkeypatch.setattr(empirical, "sample_network", sample)
     with pytest.raises(ValueError, match="replicates must be >= 1"):
         ensemble(poisson100, 50, 0, base_seed=1)
+
+
+@pytest.mark.parametrize("ensemble", [
+    pooled_spectra,
+    lambda model, n, reps, base_seed: empirical_density(model, n, reps, 10,
+                                                        base_seed)],
+    ids=["pooled_spectra", "empirical_density"])
+def test_dense_ensemble_checks_cap_before_sampling(monkeypatch, poisson100,
+                                                   ensemble):
+    def sample(*args, **kwargs):
+        raise AssertionError("sampled a network before checking the dense cap")
+
+    monkeypatch.setattr(empirical, "sample_network", sample)
+    monkeypatch.setattr(sampler, "DENSE_CAP", 10)
+    with pytest.raises(ValueError, match="^n=50 exceeds the dense cap 10$"):
+        ensemble(poisson100, 50, 2, base_seed=1)
 
 
 _POOLED_HASH = """
@@ -449,7 +465,7 @@ def test_hub_pass_is_both_hub_ensembles(poisson100):
     # both equal a replicate loop over the public per-network functions
     args = (poisson100, 400.0, 300, 3, 42)
     both = (*ensemble_hub_top(*args), *ensemble_hub_localization(*args))
-    assert _hub_ensemble(*args) == both
+    assert ensemble_hub(*args) == both
     tops, acc = [], np.zeros(3)
     for r in range(3):
         net = _replicate_network(poisson100, 300, 42, r, 400.0)
