@@ -11,23 +11,31 @@ divide-and-conquer dsyevd stands in, through the function pointer SciPy
 publishes for Cython.  The two-stage solver takes about 0.5 s per n = 2000
 solve on one BLAS thread, against dsyevd's 0.8 s.  Either is called through
 ctypes, which releases the interpreter lock for the call and lets it
-overwrite the matrix it is given.  Pooled spectra therefore run their
-replicates on min(replicates, cores) threads, each set to one OpenBLAS
-thread; each samples, assembles and solves one replicate in place, and the
-pool holds about workers * (8 n^2 + workspace) bytes (the two-stage
-workspace is about 1.7 MB at n = 2000).  Every replicate has its own stream
-key and the pool keeps replicate order, so the pooled eigenvalues depend
-neither on the worker count nor on the BLAS setting (another CPU type may
-round differently).  Without OpenBLAS's per-thread setter the pool has one
-worker on the process's BLAS setting, which the eigenvalues then follow.
-On a LAPACK built with OpenMP, iparam2stage may choose the two-stage band
-width from the OpenMP thread count, and the eigenvalues follow that too.
+overwrite the matrix it is given.
 Ensembles that read only the top of the spectrum get the top eigenpair at
 every size, computed matrix-free by ARPACK's implicitly restarted Lanczos
 (scipy's eigsh, asked for the algebraically largest eigenvalue) and
 accepted only on its true residual.  A hub ensemble reads the top
 eigenvalue and the hub localization from the same eigenpair, so
 `hub --empirical` samples and solves each replicate once.
+
+Every ensemble runs its replicates on one kind of pool: min(replicates,
+cores) threads, fewer where their replicates would hold more than
+POOL_BYTE_BUDGET bytes at once, each set to one OpenBLAS thread.  Each
+thread samples, assembles and solves whole replicates: a dense one in place
+in about 8 n^2 bytes plus workspace (1.7 MB of two-stage workspace at
+n = 2000), a top eigenpair in about 8 MB per 100k edges.  The dense solver
+and the numpy work of the sampler release the interpreter lock, and so does
+eigsh where SciPy runs its ARPACK without a lock of its own (SciPy 1.17
+does; a release that keeps the lock solves one top eigenpair at a time).
+Every replicate has its own stream key and the pool returns its results
+in replicate order, which the ensembles reduce in that order, so every
+pooled eigenvalue, mean and statistic depends neither on the worker count
+nor on the BLAS setting (another CPU type may round differently).  Without
+OpenBLAS's per-thread setter the pool has one worker on the process's BLAS
+setting, which the results then follow.  On a LAPACK built with OpenMP,
+iparam2stage may choose the two-stage band width from the OpenMP thread
+count, and the pooled eigenvalues follow that too.
 
 Replicate r of an ensemble uses the seed splitmix64(base_seed + (r+1) * GOLDEN)
 with the published constants below, so replicates are independent,
@@ -38,17 +46,20 @@ from __future__ import annotations
 import ctypes
 import functools
 import os
+import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, TypeVar
 
 import numpy as np
 
-from . import analytic
+from . import analytic, sampler
 from .degree_model import DegreeModel
 from .errors import NumericError
 from .sampler import (SampledNetwork, attach_hub, check_dense_cap,
                       densify_modularity, sample_network)
+
+_T = TypeVar("_T")
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -298,44 +309,83 @@ def _check_ensemble(replicates: int, kind: str) -> None:
         raise ValueError(f"kind must be one of {MATRIX_KINDS}")
 
 
-def _replicate_workers(replicates: int) -> int:
+def _replicate_bytes(n: int, two_m: float, dense: bool) -> int:
+    """Peak bytes of one replicate of n vertices and expected degree sum
+    two_m: about 80 per expected edge (the sampler's draws, the edge arrays
+    and the sparse adjacency) and 256 per vertex (ARPACK's Lanczos vectors),
+    plus, for a dense solve, the n x n matrix and about 1 KB of LAPACK
+    workspace per row."""
+    dense_bytes = 8 * n * (n + 128) if dense else 0
+    return int(80 * two_m / 2) + 256 * n + dense_bytes
+
+
+def _replicate_workers(replicates: int, replicate_bytes: int) -> int:
     """Threads for a replicate pool: min(replicates, cores), where cores is
-    this process's CPU affinity (the CPU count where that is not available);
-    one where BLAS has no per-thread setter."""
+    this process's CPU affinity (the CPU count where that is not available),
+    and no more than hold sampler.POOL_BYTE_BUDGET bytes at replicate_bytes
+    each (but at least one); one where BLAS has no per-thread setter."""
     if _lapack()[1] is None:
         return 1
     affinity = getattr(os, "sched_getaffinity", None)
     cores = len(affinity(0)) if affinity is not None else os.cpu_count() or 1
-    return min(replicates, cores)
+    return max(1, min(replicates, cores,
+                      sampler.POOL_BYTE_BUDGET // replicate_bytes))
 
 
-def _replicate_spectrum(model: DegreeModel, n: int, base_seed: int, kind: str,
-                        r: int) -> np.ndarray:
-    net = _replicate_network(model, n, base_seed, r)
-    return dense_symmetric_eigen(_dense_matrix(net, kind),
-                                 overwrite_a=True).eigenvalues
+def _map_replicates(replicate: Callable[[int], _T], replicates: int,
+                    replicate_bytes: int) -> list[_T]:
+    """[replicate(r) for r in range(replicates)], computed on
+    `_replicate_workers` threads that each first set one OpenBLAS thread.
+
+    A replicate that raises stops every later replicate that has not begun;
+    the pool is joined, and then the exception of the first failing replicate
+    is raised, the one a loop in replicate order would raise.
+    """
+    # imported here: it loads logging, about 7 ms of every start-up
+    from concurrent.futures import ThreadPoolExecutor
+
+    lock = threading.Lock()
+    first_failure = [replicates]
+
+    def run(r: int) -> _T | None:
+        if r > first_failure[0]:
+            return None  # never read: replicate first_failure[0] raises first
+        try:
+            return replicate(r)
+        except BaseException:
+            with lock:
+                first_failure[0] = min(first_failure[0], r)
+            raise
+
+    pool = ThreadPoolExecutor(_replicate_workers(replicates, replicate_bytes),
+                              initializer=_lapack()[1], initargs=(1,))
+    try:
+        return list(pool.map(run, range(replicates)))
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def pooled_spectra(model: DegreeModel, n: int, replicates: int,
                    base_seed: int, kind: str = "modularity") -> np.ndarray:
     """All n * replicates eigenvalues, pooled in replicate order.
 
-    Replicates are sampled, assembled and solved on min(replicates, cores)
-    threads, each first set to one OpenBLAS thread, in about
-    workers * (8 n^2 + workspace) bytes; the result is the same for every
-    worker count and BLAS setting on one CPU type.  Without a per-thread
-    setter one worker solves on the process's BLAS setting, which the result
-    then follows.  An n past the dense cap is rejected before any sampling.
+    Replicates are sampled, assembled and solved on the replicate pool
+    (`_map_replicates`), in about workers * (8 n^2 + workspace) bytes; the
+    result is the same for every worker count and BLAS setting on one CPU
+    type.  Without a per-thread setter one worker solves on the process's
+    BLAS setting, which the result then follows.  An n past the dense cap is
+    rejected before any sampling.
     """
     _check_ensemble(replicates, kind)
     check_dense_cap(n)
-    # imported here: it loads logging, about 7 ms of every start-up
-    from concurrent.futures import ThreadPoolExecutor
 
-    solve = functools.partial(_replicate_spectrum, model, n, base_seed, kind)
-    with ThreadPoolExecutor(_replicate_workers(replicates),
-                            initializer=_lapack()[1], initargs=(1,)) as pool:
-        return np.concatenate(list(pool.map(solve, range(replicates))))
+    def spectrum(r: int) -> np.ndarray:
+        net = _replicate_network(model, n, base_seed, r)
+        return dense_symmetric_eigen(_dense_matrix(net, kind),
+                                     overwrite_a=True).eigenvalues
+
+    nbytes = _replicate_bytes(n, n * model.mean_degree(), dense=True)
+    return np.concatenate(_map_replicates(spectrum, replicates, nbytes))
 
 
 def empirical_density(model: DegreeModel, n: int, replicates: int, bins: int,
@@ -383,11 +433,15 @@ def ensemble_leading(model: DegreeModel, n: int, replicates: int,
                      base_seed: int, kind: str = "adjacency",
                      ) -> tuple[float, float]:
     """Mean and standard error of the largest eigenvalue across replicates,
-    each from the matrix-free top eigenpair (no dense cap on n)."""
+    each from the matrix-free top eigenpair (no dense cap on n), solved on
+    the replicate pool."""
     _check_ensemble(replicates, kind)
-    return _mean_stderr(np.array([
-        _top_pair(_replicate_network(model, n, base_seed, r), kind)[0]
-        for r in range(replicates)]))
+
+    def top(r: int) -> float:
+        return _top_pair(_replicate_network(model, n, base_seed, r), kind)[0]
+
+    nbytes = _replicate_bytes(n, n * model.mean_degree(), dense=False)
+    return _mean_stderr(np.array(_map_replicates(top, replicates, nbytes)))
 
 
 def ensemble_hub(model: DegreeModel, k_n: float, n: int, replicates: int,
@@ -396,14 +450,23 @@ def ensemble_hub(model: DegreeModel, k_n: float, n: int, replicates: int,
     top modularity eigenvalue, then the replicate means of `hub_vector_stats`,
     all read from one matrix-free top eigenpair per replicate (n background
     degrees from the model, plus a last vertex of expected degree k_n).
-    `ensemble_hub_top` and `ensemble_hub_localization` return its first two
-    and its last three values."""
+    The replicates are solved on the replicate pool and summed in replicate
+    order.  `ensemble_hub_top` and `ensemble_hub_localization` return its
+    first two and its last three values."""
     _check_ensemble(replicates, "modularity")
-    tops, acc = np.empty(replicates), np.zeros(3)
-    for r in range(replicates):
+
+    def hub(r: int) -> tuple[float, tuple[float, float, float]]:
         net = _replicate_network(model, n, base_seed, r, k_n)
-        tops[r], vec = _top_pair(net, "modularity")
-        acc += np.array(_vector_stats(net, vec, net.n - 1))
+        top, vec = _top_pair(net, "modularity")
+        return top, _vector_stats(net, vec, net.n - 1)
+
+    nbytes = _replicate_bytes(n + 1, n * model.mean_degree() + k_n,
+                              dense=False)
+    results = _map_replicates(hub, replicates, nbytes)
+    acc = np.zeros(3)
+    for _, stats in results:
+        acc += np.array(stats)
+    tops = np.array([top for top, _ in results])
     return (*_mean_stderr(tops), *(acc / replicates).tolist())
 
 

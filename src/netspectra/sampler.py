@@ -17,10 +17,10 @@ Asau's indexed search, Devroye 1986, section III.2.4): the table starts each
 uniform within a step or two of its index, and the result equals a binary
 search.
 
-The edges come out of `np.unique` sorted by (i, j), so the matrices are
-assembled without a sort: the sparse adjacency from the upper triangle's CSR
-arrays and their transpose, the dense matrices by scattering the edge
-multiplicities into one buffer.  Dense matrices are built for at most
+The edges come out of one in-place sort of their (i, j) keys, sorted by
+(i, j), so the matrices are assembled without a further sort: the sparse
+adjacency from the upper triangle's CSR arrays and their transpose, the
+dense matrices by scattering the edge multiplicities into one buffer.  Dense matrices are built for at most
 DENSE_CAP vertices, a fixed constant.
 """
 from __future__ import annotations
@@ -40,6 +40,9 @@ if TYPE_CHECKING:
 # largest n of a dense matrix: one float64 n x n matrix takes 8 n^2 bytes,
 # 128 MB at n = 4000, and each pooled-spectra worker holds one
 DENSE_CAP = 4000
+# bytes that the workers of one replicate pool may hold at once: at mean
+# degree 100, 7 dense replicates at n = DENSE_CAP and 25 at n = 2000
+POOL_BYTE_BUDGET = 1 << 30
 
 
 def check_dense_cap(n: int) -> None:
@@ -168,16 +171,23 @@ def sample_network(degrees: DegreeSequence, seed: int) -> SampledNetwork:
     cum = np.cumsum(k / two_m)
     cum[-1] = 1.0
     ends = _invert_cumulative(cum, rng.random(2 * total_edges))
+    # key = min * n + max per edge, built in place and sorted in place;
+    # the runs of equal keys are the distinct pairs and their multiplicities
     u, v = ends[0::2], ends[1::2]
-    lo = np.minimum(u, v).astype(np.int64)
-    hi = np.maximum(u, v).astype(np.int64)
-    key = lo * degrees.n + hi
-    uniq, counts = np.unique(key, return_counts=True)
-    return SampledNetwork(degrees=degrees,
-                          edge_i=(uniq // degrees.n).astype(np.int64),
-                          edge_j=(uniq % degrees.n).astype(np.int64),
-                          edge_mult=counts.astype(np.int64),
-                          seed=int(seed))
+    key = np.minimum(u, v).astype(np.int64, copy=False)
+    key *= degrees.n
+    key += np.maximum(u, v, out=u)
+    del ends, u, v
+    key.sort()
+    new_run = np.empty(key.size, dtype=bool)
+    new_run[:1] = True
+    np.not_equal(key[1:], key[:-1], out=new_run[1:])
+    starts = np.flatnonzero(new_run)
+    del new_run
+    edge_i, edge_j = np.divmod(key[starts], degrees.n)
+    mult = np.diff(starts, append=key.size).astype(np.int64, copy=False)
+    return SampledNetwork(degrees=degrees, edge_i=edge_i, edge_j=edge_j,
+                          edge_mult=mult, seed=int(seed))
 
 
 def _invert_cumulative(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -187,7 +197,8 @@ def _invert_cumulative(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
     table = np.searchsorted(cum, np.arange(size) / size, side="right")
     bucket = (u * size).astype(np.intp)
     np.minimum(bucket, size - 1, out=bucket)
-    idx = table[bucket]
+    # bucket is in range, so clip mode takes in place (raise mode buffers)
+    idx = np.take(table, bucket, out=bucket, mode="clip")
     # table[j] is exact for u >= j / size, but u * size can round up to the
     # next bucket; step back while the entry below idx still exceeds u
     below = np.concatenate([[-np.inf], cum])  # below[i] == cum[i - 1]

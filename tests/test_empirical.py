@@ -30,8 +30,9 @@ from netspectra import (
 )
 from netspectra import empirical, sampler
 from netspectra.empirical import (MATRIX_KINDS, SYMMETRY_BLOCK_ROWS,
-                                  _dense_matrix, _replicate_network,
-                                  _replicate_workers, _top_pair)
+                                  _dense_matrix, _replicate_bytes,
+                                  _replicate_network, _replicate_workers,
+                                  _top_pair)
 from oracles import jacobi_eigenvalues
 
 
@@ -275,7 +276,7 @@ def test_pooled_spectra_independent_of_workers(monkeypatch, two_degree_model,
     runs = []
     for workers in (1, 2, 4):
         monkeypatch.setattr(empirical, "_replicate_workers",
-                            lambda replicates, w=workers: w)
+                            lambda replicates, nbytes, w=workers: w)
         runs.append(pooled_spectra(two_degree_model, 150, 4, base_seed=21,
                                    kind=kind))
     assert runs[0].size == 600
@@ -309,22 +310,129 @@ def test_replicate_workers(monkeypatch, env, cores, replicates, want):
         monkeypatch.setenv(var, value)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)),
                         raising=False)
-    assert _replicate_workers(replicates) == want
+    assert _replicate_workers(replicates, 1) == want
 
 
 def test_replicate_workers_without_affinity(monkeypatch):
     monkeypatch.setattr(empirical, "_lapack", lambda: (None, lambda k: 0))
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    assert _replicate_workers(8) == 3
-    assert _replicate_workers(2) == 2
+    assert _replicate_workers(8, 1) == 3
+    assert _replicate_workers(2, 1) == 2
 
 
 def test_replicate_workers_without_thread_setter(monkeypatch):
     monkeypatch.setattr(empirical, "_lapack", lambda: (None, None))
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)),
                         raising=False)
-    assert _replicate_workers(8) == 1
+    assert _replicate_workers(8, 1) == 1
+
+
+def test_replicate_workers_byte_budget(monkeypatch):
+    monkeypatch.setattr(empirical, "_lapack", lambda: (None, lambda k: 0))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(2)),
+                        raising=False)
+    # the default budget keeps both cores of a 2-core box busy at n = 2000,
+    # for a dense replicate and for a top-eigen hub replicate
+    for nbytes in (_replicate_bytes(2000, 2000 * 100.0, dense=True),
+                   _replicate_bytes(2001, 2000 * 100.0 + 400.0, dense=False)):
+        assert _replicate_workers(8, nbytes) == 2
+    # and holds a 64-core pool of dense replicates at the cap to its bytes
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)),
+                        raising=False)
+    cap = _replicate_bytes(sampler.DENSE_CAP, sampler.DENSE_CAP * 100.0,
+                           dense=True)
+    workers = _replicate_workers(64, cap)
+    assert 1 < workers < 64
+    assert workers * cap <= sampler.POOL_BYTE_BUDGET
+    for budget, want in ((3 * cap, 3), (3 * cap - 1, 2), (cap - 1, 1), (0, 1)):
+        monkeypatch.setattr(sampler, "POOL_BYTE_BUDGET", budget)
+        assert _replicate_workers(64, cap) == want
+
+
+def test_top_eigen_ensembles_independent_of_workers(monkeypatch, poisson100,
+                                                    two_degree_model):
+    # 3 workers on 3 replicates: more threads than the cores of a small box
+    runs = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(empirical, "_replicate_workers",
+                            lambda replicates, nbytes, w=workers: w)
+        runs.append((
+            ensemble_leading(two_degree_model, 300, 3, 31, kind="adjacency"),
+            ensemble_leading(two_degree_model, 300, 3, 31, kind="modularity"),
+            ensemble_hub(poisson100, 400.0, 300, 3, 32)))
+    assert runs[1] == runs[0] and runs[2] == runs[0]
+
+    # a replicate loop over the public per-network functions
+    def reference(model, base_seed, k_n, kind):
+        tops, acc = [], np.zeros(3)
+        for r in range(3):
+            seed_r = replicate_seed(base_seed, r)
+            seq = model.sample_degrees(300, seed_r)
+            if k_n is not None:
+                seq = attach_hub(seq, k_n)
+            net = sample_network(seq, replicate_seed(seed_r, 1))
+            if kind == "adjacency":
+                adj = net.adjacency_sparse()
+                top, vec = top_eigenpair(lambda x: adj @ x, net.n, tol=1e-8)
+            else:
+                top, vec = top_eigenpair(net.modularity_view().matvec, net.n,
+                                         tol=1e-6)
+            tops.append(top)
+            if k_n is not None:
+                acc += np.array(hub_vector_stats(net, net.n - 1))
+        tops = np.array(tops)
+        stats = (tops.mean(), tops.std(ddof=1) / np.sqrt(3))
+        return stats if k_n is None else (*stats, *(acc / 3))
+
+    assert runs[0] == (reference(two_degree_model, 31, None, "adjacency"),
+                       reference(two_degree_model, 31, None, "modularity"),
+                       reference(poisson100, 32, 400.0, "modularity"))
+
+
+_ENSEMBLES = {
+    "pooled_spectra": lambda model, reps: pooled_spectra(model, 60, reps, 5),
+    "ensemble_leading": lambda model, reps: ensemble_leading(model, 60, reps, 5),
+    "ensemble_hub": lambda model, reps: ensemble_hub(model, 400.0, 60, reps, 5),
+}
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("ensemble", list(_ENSEMBLES))
+def test_failing_replicate_cancels_the_rest(monkeypatch, poisson100, ensemble,
+                                            workers):
+    calls = []
+
+    def sample(*args, **kwargs):
+        calls.append(1)
+        raise ValueError("sampling failed")
+
+    monkeypatch.setattr(empirical, "sample_network", sample)
+    monkeypatch.setattr(empirical, "_replicate_workers",
+                        lambda replicates, nbytes: workers)
+    with pytest.raises(ValueError, match="^sampling failed$"):
+        _ENSEMBLES[ensemble](poisson100, 12)
+    assert 1 <= len(calls) <= workers
+
+
+@pytest.mark.parametrize("ensemble", list(_ENSEMBLES))
+def test_first_failing_replicate_is_raised(monkeypatch, poisson100, ensemble):
+    # replicates 1 and 3 fail; every worker count raises replicate 1's error,
+    # as a loop in replicate order does
+    seeds = {replicate_seed(replicate_seed(5, r), 1): r for r in range(6)}
+
+    def sample(degrees, seed):
+        r = seeds[seed]
+        if r in (1, 3):
+            raise ValueError(f"replicate {r} failed")
+        return sample_network(degrees, seed)
+
+    monkeypatch.setattr(empirical, "sample_network", sample)
+    for workers in (1, 2, 4):
+        monkeypatch.setattr(empirical, "_replicate_workers",
+                            lambda replicates, nbytes, w=workers: w)
+        with pytest.raises(ValueError, match="^replicate 1 failed$"):
+            _ENSEMBLES[ensemble](poisson100, 6)
 
 
 @pytest.mark.parametrize("ensemble", [pooled_spectra, ensemble_leading],
