@@ -10,7 +10,7 @@ import pathlib
 import numpy as np
 
 from netspectra import (DegreeModel, band_edges, ensemble_hub_top,
-                        hub_critical_degree, hub_eigenvalues)
+                        hub_critical_degree, hub_eigenvalues, hub_pairs)
 from netspectra.svgplot import render_svg
 
 OUT = pathlib.Path(__file__).parent / "output"
@@ -24,8 +24,8 @@ print(f"band edge      = {edge:g}")
 print(f"critical degree = {k_crit:.6f}  (expect 2c = {2 * c:g})")
 
 kns = np.linspace(110.0, 400.0, 30)
-pred = np.array([hub_eigenvalues(model, float(k)).z_plus
-                 if float(k) > k_crit else edge for k in kns])
+z_plus = hub_pairs(model, kns)[1]  # NaN at or below the critical degree
+pred = np.where(np.isnan(z_plus), edge, z_plus)
 
 print("\n   kn   predicted   sampled (n=1000, 10 reps)")
 samples = []

@@ -332,9 +332,9 @@ def run(argv=None) -> int:
         return EXIT_NUMERIC
     except (OSError, KeyError, TypeError, ValueError) as exc:
         # ValueError is every rejected input: malformed JSON, an invalid
-        # model, a non-finite argument, an --n past the dense cap, degrees too
-        # large for --n or a --kn at a model degree; KeyError and TypeError
-        # cover a manifest or model file of the wrong shape
+        # model, a non-finite argument, an --n below 1 or past the dense cap,
+        # degrees too large for --n or a --kn at a model degree; KeyError
+        # and TypeError cover a manifest or model file of the wrong shape
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -19,6 +19,10 @@ from numpy.polynomial.legendre import leggauss
 WEIGHT_TOL = 1e-12
 ATOM_MERGE_RTOL = 1e-9
 DEFAULT_QUAD_NODES = 256
+# largest degree of a model: the solvers square up to three times it (the
+# scan for the critical degree), so a quarter of the square root of the
+# largest float keeps every such square finite
+MAX_DEGREE = 0.25 * float(np.sqrt(np.finfo(float).max))  # about 3.35e153
 
 
 def _as_readonly(a: np.ndarray) -> np.ndarray:
@@ -56,6 +60,9 @@ class DegreeModel:
             raise ValueError("degree model must have at least one node")
         if not np.all(self.degrees > 0):
             raise ValueError("all degrees must be strictly positive")
+        if not self.degrees.max() <= MAX_DEGREE:
+            raise ValueError(f"degree {float(self.degrees.max())!r} exceeds "
+                             f"the largest supported degree {MAX_DEGREE:.3g}")
         if not np.all(np.diff(self.degrees[: self.n_atoms]) > 0):
             raise ValueError("atoms must be ascending and distinct")
         if not np.all((self.weights > 0) & (self.weights <= 1)):

@@ -301,14 +301,6 @@ def _dense_matrix(net: SampledNetwork, kind: str) -> np.ndarray:
     return densify_modularity(net.modularity_view())
 
 
-def _check_ensemble(replicates: int, kind: str) -> None:
-    """Reject a replicate count or matrix kind before any sampling."""
-    if replicates < 1:
-        raise ValueError("replicates must be >= 1")
-    if kind not in MATRIX_KINDS:
-        raise ValueError(f"kind must be one of {MATRIX_KINDS}")
-
-
 def _replicate_bytes(n: int, two_m: float, dense: bool) -> int:
     """Peak bytes of one replicate of n vertices and expected degree sum
     two_m: about 80 per expected edge (the sampler's draws, the edge arrays
@@ -332,15 +324,28 @@ def _replicate_workers(replicates: int, replicate_bytes: int) -> int:
                       sampler.POOL_BYTE_BUDGET // replicate_bytes))
 
 
-def _map_replicates(replicate: Callable[[int], _T], replicates: int,
-                    replicate_bytes: int) -> list[_T]:
-    """[replicate(r) for r in range(replicates)], computed on
-    `_replicate_workers` threads that each first set one OpenBLAS thread.
+def _map_replicates(solve: Callable[[SampledNetwork], _T], model: DegreeModel,
+                    n: int, replicates: int, base_seed: int, *,
+                    k_n: float | None = None, dense: bool = False) -> list[_T]:
+    """[solve(network r) for r in range(replicates)], each network sampled
+    by `_replicate_network` and solved on `_replicate_workers` threads that
+    each first set one OpenBLAS thread.
 
-    A replicate that raises stops every later replicate that has not begun;
-    the pool is joined, and then the exception of the first failing replicate
-    is raised, the one a loop in replicate order would raise.
+    Before any sampling it rejects replicates < 1, n < 1 and, for a dense
+    solve, an n past the dense cap; the pool is sized from the bytes of one
+    replicate of n vertices, plus the hub when k_n is given.  A replicate
+    that raises stops every later replicate that has not begun; the pool is
+    joined, and then the exception of the first failing replicate is
+    raised, the one a loop in replicate order would raise.
     """
+    if replicates < 1:
+        raise ValueError("replicates must be >= 1")
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if dense:
+        check_dense_cap(n)
+    nbytes = _replicate_bytes(n + (k_n is not None),
+                              n * model.mean_degree() + (k_n or 0), dense)
     # imported here: it loads logging, about 7 ms of every start-up
     from concurrent.futures import ThreadPoolExecutor
 
@@ -351,13 +356,13 @@ def _map_replicates(replicate: Callable[[int], _T], replicates: int,
         if r > first_failure[0]:
             return None  # never read: replicate first_failure[0] raises first
         try:
-            return replicate(r)
+            return solve(_replicate_network(model, n, base_seed, r, k_n))
         except BaseException:
             with lock:
                 first_failure[0] = min(first_failure[0], r)
             raise
 
-    pool = ThreadPoolExecutor(_replicate_workers(replicates, replicate_bytes),
+    pool = ThreadPoolExecutor(_replicate_workers(replicates, nbytes),
                               initializer=_lapack()[1], initargs=(1,))
     try:
         return list(pool.map(run, range(replicates)))
@@ -376,16 +381,15 @@ def pooled_spectra(model: DegreeModel, n: int, replicates: int,
     BLAS setting, which the result then follows.  An n past the dense cap is
     rejected before any sampling.
     """
-    _check_ensemble(replicates, kind)
-    check_dense_cap(n)
+    if kind not in MATRIX_KINDS:
+        raise ValueError(f"kind must be one of {MATRIX_KINDS}")
 
-    def spectrum(r: int) -> np.ndarray:
-        net = _replicate_network(model, n, base_seed, r)
+    def spectrum(net: SampledNetwork) -> np.ndarray:
         return dense_symmetric_eigen(_dense_matrix(net, kind),
                                      overwrite_a=True).eigenvalues
 
-    nbytes = _replicate_bytes(n, n * model.mean_degree(), dense=True)
-    return np.concatenate(_map_replicates(spectrum, replicates, nbytes))
+    return np.concatenate(_map_replicates(spectrum, model, n, replicates,
+                                          base_seed, dense=True))
 
 
 def empirical_density(model: DegreeModel, n: int, replicates: int, bins: int,
@@ -435,13 +439,11 @@ def ensemble_leading(model: DegreeModel, n: int, replicates: int,
     """Mean and standard error of the largest eigenvalue across replicates,
     each from the matrix-free top eigenpair (no dense cap on n), solved on
     the replicate pool."""
-    _check_ensemble(replicates, kind)
-
-    def top(r: int) -> float:
-        return _top_pair(_replicate_network(model, n, base_seed, r), kind)[0]
-
-    nbytes = _replicate_bytes(n, n * model.mean_degree(), dense=False)
-    return _mean_stderr(np.array(_map_replicates(top, replicates, nbytes)))
+    if kind not in MATRIX_KINDS:
+        raise ValueError(f"kind must be one of {MATRIX_KINDS}")
+    tops = _map_replicates(lambda net: _top_pair(net, kind)[0], model, n,
+                           replicates, base_seed)
+    return _mean_stderr(np.array(tops))
 
 
 def ensemble_hub(model: DegreeModel, k_n: float, n: int, replicates: int,
@@ -453,21 +455,14 @@ def ensemble_hub(model: DegreeModel, k_n: float, n: int, replicates: int,
     The replicates are solved on the replicate pool and summed in replicate
     order.  `ensemble_hub_top` and `ensemble_hub_localization` return its
     first two and its last three values."""
-    _check_ensemble(replicates, "modularity")
-
-    def hub(r: int) -> tuple[float, tuple[float, float, float]]:
-        net = _replicate_network(model, n, base_seed, r, k_n)
+    def hub(net: SampledNetwork) -> tuple[float, float, float, float]:
         top, vec = _top_pair(net, "modularity")
-        return top, _vector_stats(net, vec, net.n - 1)
+        return (top, *_vector_stats(net, vec, net.n - 1))
 
-    nbytes = _replicate_bytes(n + 1, n * model.mean_degree() + k_n,
-                              dense=False)
-    results = _map_replicates(hub, replicates, nbytes)
-    acc = np.zeros(3)
-    for _, stats in results:
-        acc += np.array(stats)
-    tops = np.array([top for top, _ in results])
-    return (*_mean_stderr(tops), *(acc / replicates).tolist())
+    values = np.array(_map_replicates(hub, model, n, replicates, base_seed,
+                                      k_n=k_n))
+    stats = values[:, 1:].sum(axis=0) / replicates
+    return (*_mean_stderr(values[:, 0]), *stats.tolist())
 
 
 def ensemble_hub_top(model: DegreeModel, k_n: float, n: int, replicates: int,

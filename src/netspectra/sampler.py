@@ -142,10 +142,6 @@ class ModularityView:
     def _adj(self) -> csr_matrix:
         return self.network.adjacency_sparse()
 
-    @property
-    def n(self) -> int:
-        return self.network.n
-
     def matvec(self, x: np.ndarray) -> np.ndarray:
         k = self.network.degrees.k
         return self._adj @ x - k * (k @ x) / self.network.two_m_expected

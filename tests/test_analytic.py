@@ -24,7 +24,7 @@ from netspectra import (
     spectral_density,
     stieltjes_transform,
 )
-from netspectra import analytic
+from netspectra import analytic, degree_model
 from oracles import (
     central_difference,
     converged_homotopy_h,
@@ -281,6 +281,22 @@ def test_no_overflow_near_the_largest_float(two_degree_model):
     want = complex(0.5 / 1.7e308, -0.5 / 1.7e308)
     assert abs(sol.h - want) <= 1e-12 * abs(want)
     assert sol.residual < analytic.RESIDUAL_RTOL
+
+
+def test_band_edge_at_the_largest_degree():
+    # the critical-degree scan squares up to 3 times the largest degree;
+    # at the cap it neither overflows nor warns, and degrees scaled by s
+    # scale the band edge by sqrt(s)
+    big = degree_model.MAX_DEGREE
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scaled = DegreeModel.from_atoms([(big, 0.5), (big / 2, 0.5)])
+        edge = band_edges(scaled)[1]
+        spread = DegreeModel.from_atoms([(big, 0.5), (1.0, 0.5)])
+        assert np.isfinite(band_edges(spread)[1])
+        assert np.all(np.isfinite(density_grid(spread, -1.0, 1.0, 5).rho))
+    small = band_edges(DegreeModel.from_atoms([(2.0, 0.5), (1.0, 0.5)]))[1]
+    assert edge == pytest.approx(np.sqrt(big / 2) * small, rel=1e-12)
 
 
 # ---------------------------------------------------------------- density

@@ -124,6 +124,44 @@ def test_overflowing_argument_is_named(tmp_path, two_degree_file, capsys,
     assert [p.name for p in tmp_path.iterdir()] == [two_degree_file.name]
 
 
+# models with a degree whose square overflows: the first would start the
+# homotopy at Im z = 10 sqrt(<d^2>) = inf and never reach its goal, the
+# second would square its critical degree 2e300 into band = (-inf, inf)
+_OVERLARGE = [({"atoms": [[1e200, 0.5], [1.0, 0.5]]}, "1e+200"),
+              ({"atoms": [[1e300, 1.0]]}, "1e+300")]
+_DENSITY_ARGS = ["--zmin", "-1", "--zmax", "1", "--points", "11",
+                 "--out", "c.csv"]
+
+
+@pytest.mark.parametrize("spec, degree", _OVERLARGE,
+                         ids=["moment-overflow", "band-edge-overflow"])
+def test_density_overlarge_degree_returns(tmp_path, src_env, spec, degree):
+    # the subprocess timeout turns a hang into a failure
+    (tmp_path / "big.json").write_text(json.dumps(spec))
+    done = subprocess.run(
+        [sys.executable, "-m", "netspectra.cli", "density", "big.json",
+         *_DENSITY_ARGS],
+        cwd=tmp_path, env=src_env, capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout) == (EXIT_USAGE, "")
+    assert done.stderr == (f"error: degree {degree} exceeds the largest "
+                           f"supported degree 3.35e+153\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["big.json"]
+
+
+@pytest.mark.parametrize("spec, degree", _OVERLARGE,
+                         ids=["moment-overflow", "band-edge-overflow"])
+def test_overlarge_degree_is_named(tmp_path, capsys, monkeypatch, spec,
+                                   degree):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "big.json").write_text(json.dumps(spec))
+    assert run(["density", "big.json", *_DENSITY_ARGS]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: degree {degree} exceeds")
+    assert err.count("\n") == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["big.json"]
+
+
 def test_unknown_flag_exits_one(poisson_file):
     with pytest.raises(SystemExit) as exc:
         run(["density", str(poisson_file), "--bogus", "1"])
@@ -538,6 +576,22 @@ def test_mean_overflow_is_usage_error(tmp_path, capsys, monkeypatch, command):
     err = capsys.readouterr().err
     assert err.startswith("error: largest pairwise mean") and err.count("\n") == 1
     assert not (tmp_path / "hist.csv").exists()
+
+
+@pytest.mark.parametrize("command", [["empirical", "--out", "hist.csv"],
+                                     ["leading", "--empirical"],
+                                     ["hub", "--kn", "400", "--empirical"]],
+                         ids=["empirical", "leading", "hub"])
+def test_zero_n_is_usage_error(tmp_path, two_degree_file, capsys, monkeypatch,
+                               command):
+    # n is checked before the replicate pool is sized: a replicate of no
+    # vertices has no bytes to divide the pool's budget by
+    monkeypatch.chdir(tmp_path)
+    code = run([command[0], str(two_degree_file), *command[1:], "--n", "0",
+                "--reps", "2"])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == "error: n must be >= 1\n"
+    assert [p.name for p in tmp_path.iterdir()] == [two_degree_file.name]
 
 
 def test_manifest_roundtrip(tmp_path):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -239,6 +240,21 @@ def test_degrees_must_be_positive():
         DegreeModel.from_atoms([(-5.0, 1.0)])
     with pytest.raises(ValueError, match="atom degrees must be positive"):
         DegreeModel.from_atoms([(0.0, 1.0)])
+
+
+def test_degree_above_cap_rejected():
+    # every square the solvers take stays finite up to the cap, and the
+    # degree that passes it is named
+    assert degree_model.MAX_DEGREE == 0.25 * np.sqrt(np.finfo(float).max)
+    DegreeModel.from_atoms([(degree_model.MAX_DEGREE, 0.5), (1.0, 0.5)])
+    above = float(np.nextafter(degree_model.MAX_DEGREE, np.inf))
+    for atoms in ([(above, 0.5), (1.0, 0.5)], [(1e300, 1.0)]):
+        named = re.escape(f"degree {max(atoms)[0]!r} exceeds the largest "
+                          f"supported degree 3.35e+153")
+        with pytest.raises(ValueError, match=f"^{named}$"):
+            DegreeModel.from_atoms(atoms)
+    with pytest.raises(ValueError, match="^degree .* exceeds"):
+        DegreeModel.uniform(1.0, 1e154)
 
 
 def test_infinite_support_rejected():

@@ -463,6 +463,48 @@ def test_ensemble_checks_replicates_before_sampling(monkeypatch, poisson100,
 
 
 @pytest.mark.parametrize("ensemble", [
+    pooled_spectra, ensemble_leading,
+    lambda model, n, reps, base_seed: ensemble_hub(model, 400.0, n, reps,
+                                                   base_seed)],
+    ids=["pooled_spectra", "ensemble_leading", "hub_ensemble"])
+def test_ensemble_checks_n_before_sampling(monkeypatch, poisson100, ensemble):
+    def sample(*args, **kwargs):
+        raise AssertionError("sampled a network before checking n")
+
+    def workers(*args):
+        raise AssertionError("sized the pool before checking n")
+
+    monkeypatch.setattr(empirical, "sample_network", sample)
+    monkeypatch.setattr(empirical, "_replicate_workers", workers)
+    with pytest.raises(ValueError, match="^n must be >= 1$"):
+        ensemble(poisson100, 0, 2, base_seed=1)
+    # the replicate count is checked first
+    with pytest.raises(ValueError, match="^replicates must be >= 1$"):
+        ensemble(poisson100, 0, 0, base_seed=1)
+
+
+@pytest.mark.parametrize("ensemble, nbytes", [
+    (pooled_spectra, _replicate_bytes(60, 60 * 100.0, dense=True)),
+    (ensemble_leading, _replicate_bytes(60, 60 * 100.0, dense=False)),
+    (lambda model, n, reps, base_seed: ensemble_hub(model, 400.0, n, reps,
+                                                    base_seed),
+     _replicate_bytes(61, 60 * 100.0 + 400.0, dense=False))],
+    ids=["pooled_spectra", "ensemble_leading", "hub_ensemble"])
+def test_pool_sized_from_one_replicate(monkeypatch, poisson100, ensemble,
+                                       nbytes):
+    # the hub adds one vertex and its expected degree to a replicate's bytes
+    sizes = []
+
+    def workers(replicates, replicate_bytes):
+        sizes.append((replicates, replicate_bytes))
+        return 1
+
+    monkeypatch.setattr(empirical, "_replicate_workers", workers)
+    ensemble(poisson100, 60, 2, base_seed=1)
+    assert sizes == [(2, nbytes)]
+
+
+@pytest.mark.parametrize("ensemble", [
     pooled_spectra,
     lambda model, n, reps, base_seed: empirical_density(model, n, reps, 10,
                                                         base_seed)],
