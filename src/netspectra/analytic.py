@@ -16,6 +16,7 @@ degree k_n contributes the pair z with h(z) = z / k_n.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -356,9 +357,27 @@ def _bisect(f, lo: float, hi: float) -> float:
             hi = mid
 
 
-def _hub_zsq(model: DegreeModel, k_n: float) -> float:
-    # z(u)^2 = u^2 G(u) / c at u = k_n
-    return k_n * k_n / model.mean_degree() * model.cauchy_transform(k_n)
+def _curve_z(model: DegreeModel, u: float) -> float:
+    # z(u) = sqrt(u^2 G(u) / c) as 2^e sqrt(m^2 G(u) / c), u = m 2^e: powers of
+    # two scale exactly, so no finite u overflows and z keeps the bits of the
+    # unscaled form wherever that form neither overflows nor underflows
+    m, e = math.frexp(u)
+    return math.ldexp(math.sqrt(m * m / model.mean_degree() * model.cauchy_transform(u)), e)
+
+
+def _curve_points(model: DegreeModel, u: np.ndarray, what: str) -> np.ndarray:
+    """z(u) at every u of the array, checked against h(z) = z / u by one
+    batched cold solve of h; NumericError names the first z that fails."""
+    z = np.array([_curve_z(model, float(k)) for k in u])
+    h, _, _ = _solve_h_batch(model, z)
+    want = z / u
+    bad = ~(np.abs(h - want) <= 1e-8 * np.maximum(1.0, np.abs(h)))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise NumericError(
+            f"{what} {float(z[i])!r} fails h(z) = z / k_n at k_n={float(u[i])!r}: "
+            f"h={complex(h[i])!r} vs {float(want[i])!r}")
+    return z
 
 
 def hub_critical_degree(model: DegreeModel) -> float:
@@ -392,12 +411,12 @@ def hub_critical_degree(model: DegreeModel) -> float:
 def band_edges(model: DegreeModel) -> tuple[float, float]:
     """Outermost edges of the continuous spectral band, (-z_c, z_c).
 
-    The upper edge is z(u_c) = u_c sqrt(G(u_c) / c) at the critical degree
-    u_c of `hub_critical_degree`, for every model: a single atom of degree c
-    goes through the same curve, with u_c = 2c and edge 2 sqrt(c).  The
-    lower edge is its negative, because h(-z) = -h(z).
+    The upper edge is z(u_c) = u_c sqrt(G(u_c) / c), from `_curve_z`, at
+    the critical degree u_c of `hub_critical_degree`, for every model: a
+    single atom of degree c goes through the same curve, with u_c = 2c and
+    edge 2 sqrt(c).  The lower edge is its negative, as h(-z) = -h(z).
     """
-    e = float(np.sqrt(_hub_zsq(model, hub_critical_degree(model))))
+    e = _curve_z(model, hub_critical_degree(model))
     return (-e, e)
 
 
@@ -406,45 +425,40 @@ def band_edges(model: DegreeModel) -> tuple[float, float]:
 # --------------------------------------------------------------------------
 
 def leading_eigenvalue(model: DegreeModel) -> float:
-    """Largest adjacency eigenvalue: the real z above the band with (z-1) h(z) = 1.
+    """Largest adjacency eigenvalue: the curve point z(u) with u = z^2 - z.
 
-    On the branch z = u h, h = sqrt(G(u) / c), the condition reads
-    f(u) = u G(u) / c - sqrt(G(u) / c) - 1 = 0.  f approaches 0 from below
-    like -1/sqrt(u) at large u, so f > 0 at the critical degree u_c (the
-    band edge) brackets the root above u_c; the bracket is widened by
-    doubling and bisected, and f(u_c) <= 0 means nothing detaches.  A single
-    atom has the closed form c + 1, which detaches only for c > 1.  The
-    result is checked against a cold solve of h(z).
+    There h = z / u = sqrt(G(u) / c), and as sum w d = c, (z - 1) h = 1 reads
+    f(u) = (1/c) sum w d^2 / (u - d) - sqrt(G(u) / c) = 0, which cancels at
+    no degree scale.  f -> 0- like -1/sqrt(u), so f > 0 at the critical
+    degree u_c (the band edge) brackets the root above u_c, which is
+    bisected after doubling the bracket; f(u_c) <= 0 means nothing detaches.
+    One atom has the closed-form root u = c (c + 1).  z and its check come
+    from `_curve_points`, as for the hub pairs.
 
     Raises:
         NoDetachedEigenvalueError: no root lies above the band edge.
+        NumericError: z fails (z - 1) h(z) = 1.
     """
     c = model.mean_degree()
-    if model.degrees.size == 1:
-        if c <= 1.0:
-            raise NoDetachedEigenvalueError(
-                f"c + 1 = {c + 1.0:.6g} does not exceed the band edge "
-                f"2 sqrt(c) = {2.0 * np.sqrt(c):.6g}")
-        z = c + 1.0
-    else:
-        def f(u: float) -> float:
-            g = model.cauchy_transform(u) / c
-            return u * g - np.sqrt(g) - 1.0
+    d, wd = model.degrees, model.weights * model.degrees
 
-        u_c = hub_critical_degree(model)
-        if f(u_c) <= 0.0:
-            raise NoDetachedEigenvalueError(
-                f"(z-1) h(z) - 1 is non-positive at the band edge "
-                f"{band_edges(model)[1]:.6g}")
+    def f(u: float) -> float:
+        q = wd / (u - d)  # the terms of G(u)
+        return float(q @ d) / c - math.sqrt(float(q.sum()) / c)
+
+    u_c = hub_critical_degree(model)
+    if f(u_c) <= 0.0:
+        raise NoDetachedEigenvalueError(
+            f"(z-1) h(z) - 1 is non-positive at the band edge "
+            f"{_curve_z(model, u_c):.6g}")
+    if d.size == 1:
+        u = c * (c + 1.0)
+    else:
         hi = 2.0 * u_c
         while f(hi) > 0.0:  # f -> 0- like -1/sqrt(u), so a finite hi ends this
             hi *= 2.0
-        z = float(np.sqrt(_hub_zsq(model, _bisect(f, u_c, hi))))
-    sol = solve_h(model, complex(z))
-    if abs((z - 1.0) * sol.h - 1.0) > 1e-8 * max(1.0, abs(z)):
-        raise NumericError(
-            f"candidate leading eigenvalue {z!r} fails (z-1) h(z) = 1")
-    return float(z)
+        u = _bisect(f, u_c, hi)
+    return float(_curve_points(model, np.array([u]), "leading eigenvalue")[0])
 
 
 def leading_eigenvalue_approx(model: DegreeModel) -> float:
@@ -460,13 +474,13 @@ def hub_pairs(model: DegreeModel, k_n: np.ndarray) -> tuple[float, np.ndarray]:
     """Critical degree, and z_plus at every hub degree of the array k_n.
 
     z_plus is NaN where k_n does not exceed the critical degree.  Each
-    detached z = sqrt(k_n^2 G(k_n) / c) is checked against h(z) = z / k_n by
-    one batched cold solve of h at all of them.  `hub_eigenvalues` is the
-    one-degree view that adds the localization.
+    detached z = sqrt(k_n^2 G(k_n) / c), finite at every finite k_n, comes
+    with its check h(z) = z / k_n from `_curve_points`.  `hub_eigenvalues`
+    is the one-degree view that adds the localization.
 
     Raises:
-        ValueError: some k_n is not finite, does not exceed every degree
-            in the model, or is so large that z^2 overflows.
+        ValueError: some k_n is not finite, or does not exceed every degree
+            in the model.
         NumericError: some z fails h(z) = z / k_n.
     """
     k_n = np.asarray(k_n, dtype=float)
@@ -481,23 +495,8 @@ def hub_pairs(model: DegreeModel, k_n: np.ndarray) -> tuple[float, np.ndarray]:
             f"maximum model degree {k_max!r}")
     k_crit = hub_critical_degree(model)
     up = k_n > k_crit
-    zsq = np.array([_hub_zsq(model, float(k)) for k in k_n[up]])
-    overflow = ~np.isfinite(zsq)
-    if overflow.any():
-        raise ValueError(
-            f"hub degree {float(k_n[up][overflow][0])!r} is too large: its "
-            f"eigenvalue z^2 = k_n^2 G(k_n) / c overflows")
-    z_up = np.sqrt(zsq)
-    h, _, _ = _solve_h_batch(model, z_up)
-    want = z_up / k_n[up]
-    bad = ~(np.abs(h - want) <= 1e-8 * np.maximum(1.0, np.abs(h)))
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise NumericError(
-            f"hub eigenvalue {float(z_up[i])!r} fails h(z) = z / k_n: "
-            f"h={complex(h[i])!r} vs {float(want[i])!r}")
     z = np.full(k_n.shape, np.nan)
-    z[up] = z_up
+    z[up] = _curve_points(model, k_n[up], "hub eigenvalue")
     return k_crit, z
 
 

@@ -2,9 +2,11 @@
 
 Nothing here may import from netspectra's numerics: these re-derive expected
 values by elementary means (Jacobi rotations, adaptive quadrature, direct
-quadratic roots, finite differences).
+quadratic roots, finite differences, 60-digit `decimal` arithmetic).
 """
 from __future__ import annotations
+
+from decimal import Decimal, localcontext
 
 import numpy as np
 from scipy.integrate import quad
@@ -228,3 +230,52 @@ def leading_root(degrees: np.ndarray, weights: np.ndarray) -> float:
 
     hi = 10.0 * (float(w @ d ** 2) / c + 1.0)
     return z0 + geometric_sign_changes(f, 1e-12 * z0, hi)[-1]
+
+
+def _decimals(degrees: np.ndarray, weights: np.ndarray) -> tuple[list, list, Decimal]:
+    d = [Decimal(float(x)) for x in degrees]
+    w = [Decimal(float(x)) for x in weights]
+    return d, w, sum(wr * dr for wr, dr in zip(w, d))
+
+
+def decimal_leading_root(degrees: np.ndarray, weights: np.ndarray) -> float:
+    """The leading eigenvalue by 60-digit stdlib `decimal` bisection.
+
+    With h = 1/(z - 1), the self-consistency equation becomes
+    c / (z - 1)^2 = sum w d / (z^2 - z - d); subtracting c from (z - 1)^2
+    times the right side leaves  F(z) = sum w d (d + 1 - z) / (z^2 - z - d),
+    in which nothing cancels.  Just above z0, where z0^2 - z0 is the largest
+    degree, F is +inf; at z = k_max + 2 every term is negative.  The sign
+    change between them is bisected until the bracket is below 1e-40 of it.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 60
+        d, w, _ = _decimals(degrees, weights)
+        k_max = max(d)
+
+        def f(z: Decimal) -> Decimal:
+            t = z * z - z
+            return sum(wr * dr * (dr + 1 - z) / (t - dr) for wr, dr in zip(w, d))
+
+        z0 = (1 + (1 + 4 * k_max).sqrt()) / 2
+        lo, hi = z0 * (1 + Decimal("1e-50")), k_max + 2
+        assert f(lo) > 0 > f(hi)
+        while hi - lo > Decimal("1e-40") * lo:
+            mid = (lo + hi) / 2
+            if f(mid) > 0:
+                lo = mid
+            else:
+                hi = mid
+        return float((lo + hi) / 2)
+
+
+def decimal_hub_eigenvalue(degrees: np.ndarray, weights: np.ndarray,
+                           k_n: float) -> float:
+    """z = sqrt(k_n^2 G(k_n) / c), G(u) = sum w d / (u - d), in 60-digit
+    stdlib `decimal`, whose exponent range holds k_n^2 for any float k_n."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        d, w, c = _decimals(degrees, weights)
+        k = Decimal(float(k_n))
+        g = sum(wr * dr / (k - dr) for wr, dr in zip(w, d))
+        return float((k * k * g / c).sqrt())

@@ -28,6 +28,8 @@ from netspectra import analytic, degree_model
 from oracles import (
     central_difference,
     converged_homotopy_h,
+    decimal_hub_eigenvalue,
+    decimal_leading_root,
     leading_root,
     numeric_semicircle_cauchy,
     physical_root,
@@ -540,6 +542,25 @@ def test_leading_five_atom_regression():
     assert abs((z - 1.0) * solve_h(model, z).h - 1.0) < 1e-12
 
 
+_SCALES = [2, 7, 12, 16, 21, 77, 150, "max"]
+
+
+@pytest.mark.parametrize("family", ["with-1", "with-half"])
+@pytest.mark.parametrize("e", _SCALES, ids=[f"1e{e}" for e in _SCALES[:-1]] + ["max"])
+def test_leading_matches_decimal_oracle_at_any_degree_scale(e, family):
+    # {(k, 1/2), (1, 1/2)} and {(k, 1/2), (k/2, 1/2)} with k = 10^e, or the
+    # largest admitted degree.  Near the root u G(u) / c - 1 falls below the
+    # float resolution of 1 as k grows, so a route that forms it loses about
+    # a digit per decade of k
+    k = degree_model.MAX_DEGREE if e == "max" else 10.0 ** e
+    low = 1.0 if family == "with-1" else 0.5 * k
+    model = DegreeModel.from_atoms([(k, 0.5), (low, 0.5)])
+    want = decimal_leading_root(model.degrees, model.weights)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert leading_eigenvalue(model) == pytest.approx(want, rel=1e-12)
+
+
 def test_leading_no_detached_root_flagged():
     # at c = 1 the candidate root c + 1 = 2 sits exactly on the band edge,
     # so no eigenvalue separates from the band
@@ -584,11 +605,15 @@ def test_hub_degree_must_be_finite(two_degree_model, kn):
         hub_pairs(two_degree_model, np.array([300.0, kn]))
 
 
-def test_hub_degree_overflow_named(two_degree_model):
-    with pytest.raises(ValueError, match="hub degree 1e\\+160 is too large"):
-        hub_eigenvalues(two_degree_model, 1e160)
-    with pytest.raises(ValueError, match="hub degree 1e\\+160 is too large"):
-        hub_pairs(two_degree_model, np.array([300.0, 1e160]))
+@pytest.mark.parametrize("kn", [1e160, 1e300, 1e308])
+def test_hub_eigenvalue_where_the_degree_squared_overflows(two_degree_model, kn):
+    # k_n^2 is not a float, but z = sqrt(k_n^2 G(k_n) / c) is
+    d, w = two_degree_model.degrees, two_degree_model.weights
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pred = hub_eigenvalues(two_degree_model, kn)
+    assert pred.z_plus == pytest.approx(decimal_hub_eigenvalue(d, w, kn), rel=1e-12)
+    assert pred.vn_sq == pytest.approx(0.5, rel=1e-9)
 
 
 def test_hub_consistency_with_h(poisson100, two_degree_model):
@@ -599,14 +624,17 @@ def test_hub_consistency_with_h(poisson100, two_degree_model):
 
 
 def test_hub_check_fires_on_perturbed_candidate(monkeypatch, two_degree_model):
-    # a candidate z off by a relative 1e-6 must fail the batched cold check
-    zsq = analytic._hub_zsq
-    monkeypatch.setattr(analytic, "_hub_zsq",
-                        lambda model, k: zsq(model, k) * (1.0 + 1e-6) ** 2)
+    # a candidate z off by a relative 1e-6 must fail the batched cold check,
+    # for the hub pairs and for the leading eigenvalue, which shares it
+    curve_z = analytic._curve_z
+    monkeypatch.setattr(analytic, "_curve_z",
+                        lambda model, u: curve_z(model, u) * (1.0 + 1e-6))
     with pytest.raises(NumericError, match=r"fails h\(z\) = z / k_n"):
         hub_pairs(two_degree_model, np.linspace(101.0, 400.0, 30))
     with pytest.raises(NumericError, match=r"fails h\(z\) = z / k_n"):
         hub_eigenvalues(two_degree_model, 300.0)
+    with pytest.raises(NumericError, match=r"leading eigenvalue .* fails h\(z\) = z / k_n"):
+        leading_eigenvalue(two_degree_model)
 
 
 def test_hub_localization_poisson(poisson100):

@@ -107,12 +107,7 @@ def test_density_huge_eta_returns(tmp_path, two_degree_file, src_env):
 @pytest.mark.parametrize("command, message", [
     (["density", "--zmin", "-25", "--zmax", "25", "--points", "11",
       "--eta", "inf", "--out", "c.csv"], "eta must be finite"),
-    (["hub", "--kn", "1e160"], "hub degree 1e+160 is too large"),
-    (["hub", "--kn", "1e160", "--empirical", "--n", "100", "--reps", "1"],
-     "hub degree 1e+160 is too large"),
-    (["hub", "--sweep", "110:1e160:3", "--out", "s.csv"],
-     "hub degree 5e+159 is too large"),
-], ids=["eta-inf", "kn-overflow", "kn-overflow-empirical", "sweep-overflow"])
+], ids=["eta-inf"])
 def test_overflowing_argument_is_named(tmp_path, two_degree_file, capsys,
                                        monkeypatch, command, message):
     # these used to report only the non-finite point z they led to
@@ -121,6 +116,30 @@ def test_overflowing_argument_is_named(tmp_path, two_degree_file, capsys,
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith(f"error: {message}") and err.count("\n") == 1
+    assert [p.name for p in tmp_path.iterdir()] == [two_degree_file.name]
+
+
+def test_hub_degree_whose_square_overflows(tmp_path, two_degree_file, capsys,
+                                           monkeypatch):
+    # k_n^2 overflows at 1e160, z = sqrt(k_n^2 G(k_n) / c) does not; the
+    # ensemble then stops at the sampler, whose pairwise mean k_n^2 / 2m
+    # exceeds n, before it writes anything
+    monkeypatch.chdir(tmp_path)
+    model = str(two_degree_file)
+    assert run(["hub", model, "--kn", "1e160"]) == EXIT_OK
+    assert "z_plus  = 1e+80\n" in capsys.readouterr().out
+    assert run(["hub", model, "--sweep", "110:1e160:3", "--out", "s.csv"]) == EXIT_OK
+    capsys.readouterr()
+    rows = [row.split(",") for row in (tmp_path / "s.csv").read_text().splitlines()[1:]]
+    assert len(rows) == 3 and rows[0][1] == ""
+    assert [float(row[1]) for row in rows[1:]] == pytest.approx(
+        [np.sqrt(0.5) * 1e80, 1e80], rel=1e-12)
+    (tmp_path / "s.csv").unlink()
+    (tmp_path / "s.csv.manifest.json").unlink()
+    assert run(["hub", model, "--kn", "1e160", "--empirical", "--n", "100",
+                "--reps", "1"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: largest pairwise mean ") and err.count("\n") == 1
     assert [p.name for p in tmp_path.iterdir()] == [two_degree_file.name]
 
 
@@ -241,6 +260,16 @@ def test_leading_report(two_degree_file, capsys):
     assert "92.8571429" in out
 
 
+@pytest.mark.parametrize("degree, printed", [(1e7, "10000000"), (1e21, "1e+21")])
+def test_leading_at_a_large_degree_scale(tmp_path, capsys, degree, printed):
+    # a route that forms u G(u) / c - 1, which cancels at large degrees,
+    # prints 9999999.99 and 2.94185255e+18 here
+    model = tmp_path / "big.json"
+    model.write_text(json.dumps({"atoms": [[degree, 0.5], [1.0, 0.5]]}))
+    assert run(["leading", str(model)]) == EXIT_OK
+    assert f"exact leading eigenvalue:    {printed}\n" in capsys.readouterr().out
+
+
 def test_leading_no_detached_root_exits_three(tmp_path, capsys):
     sparse = tmp_path / "sparse.json"
     sparse.write_text(json.dumps({"atoms": [[1.0, 1.0]]}))
@@ -315,9 +344,9 @@ def test_non_finite_hub_degree_is_usage_error(tmp_path, two_degree_file, capsys,
 def test_broken_identity_is_numeric_failure(two_degree_file, capsys,
                                             monkeypatch):
     # a candidate z off by a relative 1e-6 fails the check h(z) = z / k_n
-    zsq = analytic._hub_zsq
-    monkeypatch.setattr(analytic, "_hub_zsq",
-                        lambda model, k: zsq(model, k) * (1.0 + 1e-6) ** 2)
+    curve_z = analytic._curve_z
+    monkeypatch.setattr(analytic, "_curve_z",
+                        lambda model, u: curve_z(model, u) * (1.0 + 1e-6))
     assert run(["hub", str(two_degree_file), "--kn", "400"]) == EXIT_NUMERIC
     out, err = capsys.readouterr()
     assert out == ""
