@@ -104,43 +104,41 @@ def test_density_huge_eta_returns(tmp_path, two_degree_file, src_env):
     assert rho == pytest.approx([1.0 / (np.pi * 1e308)] * 11, rel=1e-12)
 
 
-@pytest.mark.parametrize("command, message", [
+@pytest.mark.parametrize("command, code, shown, error", [
     (["density", "--zmin", "-25", "--zmax", "25", "--points", "11",
-      "--eta", "inf", "--out", "c.csv"], "eta must be finite"),
-], ids=["eta-inf"])
+      "--eta", "inf", "--out", "c.csv"],
+     EXIT_USAGE, "", "error: eta must be finite"),
+    # k_n^2 overflows at 1e160, z = sqrt(k_n^2 G(k_n) / c) does not
+    (["hub", "--kn", "1e160"], EXIT_OK, "z_plus  = 1e+80\n", ""),
+    # the ensemble stops at the sampler, whose pairwise mean k_n^2 / 2m
+    # exceeds n, after the analytic lines and before it writes anything
+    (["hub", "--kn", "1e160", "--empirical", "--n", "100", "--reps", "1"],
+     EXIT_USAGE, "z_plus  = 1e+80\n", "error: largest pairwise mean "),
+    (["hub", "--sweep", "110:1e160:3", "--out", "s.csv"],
+     EXIT_OK, "wrote s.csv\n", ""),
+], ids=["eta-inf", "kn-overflow", "kn-overflow-empirical", "sweep-overflow"])
 def test_overflowing_argument_is_named(tmp_path, two_degree_file, capsys,
-                                       monkeypatch, command, message):
+                                       monkeypatch, command, code, shown,
+                                       error):
     # these used to report only the non-finite point z they led to
     monkeypatch.chdir(tmp_path)
-    assert run([command[0], str(two_degree_file), *command[1:]]) == EXIT_USAGE
+    assert run([command[0], str(two_degree_file), *command[1:]]) == code
     out, err = capsys.readouterr()
-    assert out == ""
-    assert err.startswith(f"error: {message}") and err.count("\n") == 1
-    assert [p.name for p in tmp_path.iterdir()] == [two_degree_file.name]
+    assert shown in out if shown else out == ""
+    assert err.startswith(error) and err.count("\n") == (1 if error else 0)
+    if code == EXIT_USAGE:
+        assert [p.name for p in tmp_path.iterdir()] == [two_degree_file.name]
 
 
-def test_hub_degree_whose_square_overflows(tmp_path, two_degree_file, capsys,
-                                           monkeypatch):
-    # k_n^2 overflows at 1e160, z = sqrt(k_n^2 G(k_n) / c) does not; the
-    # ensemble then stops at the sampler, whose pairwise mean k_n^2 / 2m
-    # exceeds n, before it writes anything
+def test_hub_sweep_whose_top_degree_square_overflows(tmp_path, two_degree_file,
+                                                     capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    model = str(two_degree_file)
-    assert run(["hub", model, "--kn", "1e160"]) == EXIT_OK
-    assert "z_plus  = 1e+80\n" in capsys.readouterr().out
-    assert run(["hub", model, "--sweep", "110:1e160:3", "--out", "s.csv"]) == EXIT_OK
-    capsys.readouterr()
+    assert run(["hub", str(two_degree_file), "--sweep", "110:1e160:3",
+                "--out", "s.csv"]) == EXIT_OK
     rows = [row.split(",") for row in (tmp_path / "s.csv").read_text().splitlines()[1:]]
     assert len(rows) == 3 and rows[0][1] == ""
     assert [float(row[1]) for row in rows[1:]] == pytest.approx(
         [np.sqrt(0.5) * 1e80, 1e80], rel=1e-12)
-    (tmp_path / "s.csv").unlink()
-    (tmp_path / "s.csv.manifest.json").unlink()
-    assert run(["hub", model, "--kn", "1e160", "--empirical", "--n", "100",
-                "--reps", "1"]) == EXIT_USAGE
-    err = capsys.readouterr().err
-    assert err.startswith("error: largest pairwise mean ") and err.count("\n") == 1
-    assert [p.name for p in tmp_path.iterdir()] == [two_degree_file.name]
 
 
 # models with a degree whose square overflows: the first would start the
