@@ -341,8 +341,9 @@ def density_grid(model: DegreeModel, z_min: float, z_max: float, points: int,
 # derivative is u psi(u) / c with psi(u) = sum w d (u - 2 d) / (u - d)^2:
 # coming down from u = inf, z falls to the band edge at the root u_c of psi
 # and the branch ends there.  A hub of degree k_n detaches the pair +-z(k_n)
-# when k_n > u_c, and the leading eigenvalue, (z - 1) h = 1, is the point of
-# the branch with u = z^2 - z.
+# when k_n > u_c, with hub weight u z'(u) / z = psi(u) / (2 G(u)) at u = k_n,
+# which vanishes at u_c; the leading eigenvalue, (z - 1) h = 1, is the point
+# of the branch with u = z^2 - z.
 
 def _bisect(f, lo: float, hi: float) -> float:
     """Root of f between lo and hi (f changes sign there), to float resolution."""
@@ -380,31 +381,35 @@ def _curve_points(model: DegreeModel, u: np.ndarray, what: str) -> np.ndarray:
     return z
 
 
+def _psi(model: DegreeModel, u: float) -> float:
+    # psi(u) = sum w d (u - 2d) / (u - d)^2 as sum w d q (1 - d q), q = 1 / (u - d):
+    # no term squares u or a degree
+    d = model.degrees
+    q = 1.0 / (u - d)
+    return float((model.weights * d * q) @ (1.0 - d * q))
+
+
 def hub_critical_degree(model: DegreeModel) -> float:
-    """Critical degree u_c: the root of psi(u) = sum w d (u - 2d) / (u - d)^2 above k_max.
+    """Critical degree u_c: the root of psi above k_max (`_psi`).
 
     u_c is the smallest hub degree that detaches eigenvalues from the band,
-    and z(u_c) is the upper band edge.  c z(u)^2 = sum w d (u + d + d^2/(u - d))
-    is a sum of convex functions, so psi has exactly one root, below which it
-    is negative.  Every term of psi is positive beyond 2 k_max, so the scan
-    starts at 3 k_max and halves the gap u - k_max until psi is no longer
-    positive; the last halving brackets the root, which is then bisected.  If
-    psi stays positive down to a gap of 1e-12 k_max, the root is within
+    z(u_c) is the upper band edge, and the hub weight psi / (2 G) vanishes
+    there.  c z(u)^2 = sum w d (u + d + d^2/(u - d)) is a sum of convex
+    functions, so psi has exactly one root, below which it is negative.
+    Every term of psi is positive beyond 2 k_max, so the scan starts at
+    3 k_max and halves the gap u - k_max until psi is no longer positive;
+    the last halving brackets the root, which is then bisected.  If psi
+    stays positive down to a gap of 1e-12 k_max, the root is within
     roundoff of the pole and that point is returned.
     """
-    d, w = model.degrees, model.weights
     k_max = model.max_degree
-
-    def psi(u: float) -> float:
-        return float(np.sum(w * d * (u - 2.0 * d) / (u - d) ** 2))
-
     hi, gap = 3.0 * k_max, 2.0 * k_max
-    while psi(k_max + gap) > 0.0:
+    while _psi(model, k_max + gap) > 0.0:
         hi = k_max + gap
         gap *= 0.5
         if gap < 1e-12 * k_max:
             return hi
-    return _bisect(psi, k_max + gap, hi)
+    return _bisect(lambda u: _psi(model, u), k_max + gap, hi)
 
 
 @lru_cache(maxsize=128)  # models are immutable; keyed by identity
@@ -516,43 +521,36 @@ def hub_eigenvalues(model: DegreeModel, k_n: float) -> HubPrediction:
     if np.isnan(z_plus[0]):
         return HubPrediction(k_n=k_n, exists=False, z_plus=None,
                              k_critical=k_crit, vn_sq=0.0, neighbor_vi_sq_mean=0.0)
-    z = float(z_plus[0])
-    vn_sq, neighbor = _hub_localization(model, k_n, z)
-    return HubPrediction(k_n=k_n, exists=True, z_plus=z,
+    vn_sq, neighbor = _hub_localization(model, k_n)
+    return HubPrediction(k_n=k_n, exists=True, z_plus=float(z_plus[0]),
                          k_critical=k_crit, vn_sq=vn_sq,
                          neighbor_vi_sq_mean=neighbor)
 
 
-def _hub_localization(model: DegreeModel, k_n: float, z: float) -> tuple[float, float]:
-    """Hub weight v_n^2 = 1 / (1 - k_n h'(z)) and the mean neighbor weight.
+def _hub_localization(model: DegreeModel, k_n: float) -> tuple[float, float]:
+    """Hub weight v_n^2 = psi(k_n) / (2 G(k_n)) and the mean neighbor weight.
 
-    h'(z) comes from implicit differentiation of the self-consistency
-    equation at h = z / k_n, for every model: a single atom of degree c goes
-    through the same formula, which gives (k_n / 2 - c) / (k_n - c) there.
+    On the branch h(z(u)) = z(u) / u, so 1 / (1 - k_n h'(z)) = u z'(u) / z at
+    u = k_n, and (z^2)' = u psi(u) / c turns that into psi / (2 G).  The
+    neighbor weights v_n^2 / (z (1 - d / k_n))^2, averaged over the excess
+    distribution w d / c, come to v_n^2 H / G with H = sum w d / (u - d)^2,
+    and u H = 2 G - psi makes that 2 v_n^2 (1 - v_n^2) / k_n.  Both are
+    finite at every finite k_n, for one atom as for many; v_n^2 vanishes at
+    the critical degree.
     """
-    c = model.mean_degree()
-    h = z / k_n
-    d, w = model.degrees, model.weights
-    q = 1.0 / (z - d * h)
-    f_h = float(np.sum(w * d * d * q * q)) / c - 1.0
-    f_z = -float(np.sum(w * d * q * q)) / c
-    h_prime = f_z / (-f_h)
-    vn_sq = 1.0 / (1.0 - k_n * h_prime)
+    vn_sq = _psi(model, k_n) / (2.0 * model.cauchy_transform(k_n))
     if not 0.0 <= vn_sq <= 1.0:
         raise NumericError(
             f"hub weight vn_sq={vn_sq!r} outside [0, 1]")
-    excess_w = w * d / c
-    vi_sq = vn_sq / (z * (1.0 - d / k_n)) ** 2
-    neighbor = float(np.sum(excess_w * vi_sq))
-    return float(vn_sq), neighbor
+    return vn_sq, 2.0 * vn_sq * (1.0 - vn_sq) / k_n
 
 
 def hub_eigenvector_profile(model: DegreeModel, k_n: float) -> HubPrediction:
     """Localization profile of the hub eigenvector (requires a detached pair).
 
-    The hub element squares to 1 / (1 - k_n h'(z)) with h' obtained by
-    implicit differentiation; the expected neighbor element for background
-    degree d is v_n / (z (1 - d/k_n)), averaged over the excess distribution.
+    The hub element squares to v_n^2 = psi(k_n) / (2 G(k_n)), and the
+    squared neighbor elements v_n^2 / (z (1 - d/k_n))^2, averaged over the
+    excess distribution, to 2 v_n^2 (1 - v_n^2) / k_n (`_hub_localization`).
 
     Raises:
         NoDetachedEigenvalueError: k_n is below the critical hub degree.

@@ -19,9 +19,10 @@ from numpy.polynomial.legendre import leggauss
 WEIGHT_TOL = 1e-12
 ATOM_MERGE_RTOL = 1e-9
 DEFAULT_QUAD_NODES = 256
-# largest degree of a model: the solvers square up to three times it (the
-# scan for the critical degree), so a quarter of the square root of the
-# largest float keeps every such square finite
+# largest degree of a model: the second moment <d^2>, whose root starts the
+# homotopy solve of h and which the moment-ratio approximation divides, must
+# stay finite, and a quarter of the square root of the largest float keeps
+# every d^2 below a sixteenth of it
 MAX_DEGREE = 0.25 * float(np.sqrt(np.finfo(float).max))  # about 3.35e153
 
 

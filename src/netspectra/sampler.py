@@ -158,9 +158,11 @@ def sample_network(degrees: DegreeSequence, seed: int) -> SampledNetwork:
         raise ValueError("need at least 2 vertices")
     k, two_m = degrees.k, degrees.two_m
     k_max = float(k.max())
-    if k_max * k_max / two_m > degrees.n:
+    pair_mean = k_max / two_m * k_max  # finite, as k_max <= 2m
+    if pair_mean > degrees.n:
         raise ValueError(
-            f"largest pairwise mean {k_max * k_max / two_m:.3g} exceeds n={degrees.n}")
+            f"largest pairwise mean {pair_mean:.3g} of expected degree "
+            f"{k_max:.3g} exceeds n={degrees.n}")
 
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     total_edges = int(rng.poisson(two_m / 2.0))

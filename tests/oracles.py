@@ -279,3 +279,28 @@ def decimal_hub_eigenvalue(degrees: np.ndarray, weights: np.ndarray,
         k = Decimal(float(k_n))
         g = sum(wr * dr / (k - dr) for wr, dr in zip(w, d))
         return float((k * k * g / c).sqrt())
+
+
+def decimal_hub_weights(degrees: np.ndarray, weights: np.ndarray,
+                        k_n: float) -> tuple[float, float]:
+    """Hub weight and mean neighbor weight of a hub of degree k_n, in
+    60-digit stdlib `decimal`, from their definitions.
+
+    At z = sqrt(k_n^2 G(k_n) / c), where h = z / k_n, implicit differentiation
+    of F(h, z) = (1/c) sum w d / (z - d h) - h = 0 gives h'(z) = -F_z / F_h,
+    and the hub weight is v_n^2 = 1 / (1 - k_n h'(z)).  The neighbor weight
+    v_n^2 / (z (1 - d / k_n))^2 is averaged over the excess weights w d / c.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 60
+        d, w, c = _decimals(degrees, weights)
+        k = Decimal(float(k_n))
+        z = (k * k * sum(wr * dr / (k - dr) for wr, dr in zip(w, d)) / c).sqrt()
+        h = z / k
+        q = [1 / (z - dr * h) for dr in d]
+        f_h = sum(wr * dr * dr * qr * qr for wr, dr, qr in zip(w, d, q)) / c - 1
+        f_z = -sum(wr * dr * qr * qr for wr, dr, qr in zip(w, d, q)) / c
+        vn_sq = 1 / (1 + k * f_z / f_h)
+        neighbor = sum(wr * dr / c * vn_sq / (z * (1 - dr / k)) ** 2
+                       for wr, dr in zip(w, d))
+        return float(vn_sq), float(neighbor)

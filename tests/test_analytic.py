@@ -29,6 +29,7 @@ from oracles import (
     central_difference,
     converged_homotopy_h,
     decimal_hub_eigenvalue,
+    decimal_hub_weights,
     decimal_leading_root,
     leading_root,
     numeric_semicircle_cauchy,
@@ -605,15 +606,48 @@ def test_hub_degree_must_be_finite(two_degree_model, kn):
         hub_pairs(two_degree_model, np.array([300.0, kn]))
 
 
-@pytest.mark.parametrize("kn", [1e160, 1e300, 1e308])
+@pytest.mark.parametrize("kn", [1e160, 1e300, 1e308, 1.7976931348623157e308])
 def test_hub_eigenvalue_where_the_degree_squared_overflows(two_degree_model, kn):
-    # k_n^2 is not a float, but z = sqrt(k_n^2 G(k_n) / c) is
+    # k_n^2 is not a float, but z = sqrt(k_n^2 G(k_n) / c) is, and so are
+    # the weights, down to the subnormal neighbor weight at the largest float
     d, w = two_degree_model.degrees, two_degree_model.weights
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         pred = hub_eigenvalues(two_degree_model, kn)
     assert pred.z_plus == pytest.approx(decimal_hub_eigenvalue(d, w, kn), rel=1e-12)
     assert pred.vn_sq == pytest.approx(0.5, rel=1e-9)
+    neighbor = decimal_hub_weights(d, w, kn)[1]
+    assert pred.neighbor_vi_sq_mean == pytest.approx(neighbor, rel=1e-12)
+
+
+def test_hub_weights_match_decimal_oracle_at_any_degree_scale():
+    # v_n^2 = psi / (2 G) and 2 v_n^2 (1 - v_n^2) / k_n against the implicit
+    # derivative at 60 digits, on atomic and mixed models scaled by 1e-3 to
+    # 1e150, from just above the critical degree, where v_n^2 -> 0 and psi
+    # cancels, to far above it
+    rng = np.random.default_rng(29)
+    cases = [(1.0 + 1e-9, 1e-6), (1.0 + 1e-5, 1e-10)] + [
+        (r, 1e-14) for r in (1.1, 2.0, 1e3, 1e8)]
+    for i in range(30):
+        scale = 10.0 ** rng.uniform(-3.0, 150.0)
+        n_atoms = int(rng.integers(1, 5))
+        degrees = (np.sort(rng.uniform(0.5, 2.0, n_atoms))
+                   + 1e-3 * np.arange(n_atoms)) * scale
+        weights = rng.uniform(0.2, 1.0, n_atoms)
+        weights /= weights.sum()
+        if i % 3 == 2:  # half the mass on 8 nodes over [2.5, 3] scale
+            model = DegreeModel.from_parts(list(zip(degrees, 0.5 * weights)),
+                                           lambda x: np.ones_like(x),
+                                           2.5 * scale, 3.0 * scale, nodes=8)
+        else:
+            model = DegreeModel.from_atoms(list(zip(degrees, weights)))
+        k_c = hub_critical_degree(model)
+        for ratio, rel in cases:
+            kn = k_c * ratio
+            want_vn, want_nb = decimal_hub_weights(model.degrees, model.weights, kn)
+            vn_sq, neighbor = analytic._hub_localization(model, kn)
+            assert abs(vn_sq - want_vn) <= rel * want_vn, (i, ratio)
+            assert abs(neighbor - want_nb) <= rel * want_nb, (i, ratio)
 
 
 def test_hub_consistency_with_h(poisson100, two_degree_model):
@@ -645,7 +679,7 @@ def test_hub_localization_poisson(poisson100):
 
 
 def test_hub_weights_single_atom_on_the_general_curve():
-    # one atom goes through the implicit-derivative formula; it meets the
+    # one atom goes through the general psi / (2 G) weights; they meet the
     # closed forms to roundoff away from the transition, and to 1e-10 just
     # above it, where v_n^2 -> 0
     rng = np.random.default_rng(25)
@@ -671,7 +705,7 @@ def test_hub_profile_requires_detachment(poisson100):
 
 
 def test_hub_general_route_matches_finite_difference(two_degree_model):
-    # h'(z) from implicit differentiation vs central differences on solve_h
+    # psi / (2 G) vs 1 / (1 - k_n h'(z)) with h' by central differences on solve_h
     kn = 320.0
     pred = hub_eigenvalues(two_degree_model, kn)
     z = pred.z_plus

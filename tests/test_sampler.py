@@ -174,6 +174,11 @@ def test_two_hubs_recovered_empirically():
 def test_mean_overflow_guard():
     with pytest.raises(ValueError, match="largest pairwise mean"):
         sample_network(DegreeSequence.from_values([1.0, 1.0, 100.0]), seed=0)
+    # k_max^2 is not a float here, but the pairwise mean k_max / 2m * k_max is
+    with pytest.raises(ValueError, match="largest pairwise mean") as err:
+        sample_network(DegreeSequence.from_values([1.0, 1.0, 1e160]), seed=0)
+    assert "1e+160" in str(err.value)
+    assert "inf" not in str(err.value)
 
 
 def test_dense_cap_enforced(monkeypatch):
